@@ -21,7 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .cubature import CubatureEstimate, Integrand2D, s_minus, s_plus
+from .cubature import (
+    _RULE_TRACES,
+    TRACE_IDS,
+    Integrand2D,
+    _combine,
+    _grid_pass,
+    _trace_integrals,
+)
 from .univariate import Interval
 
 __all__ = [
@@ -75,7 +82,11 @@ def _bound_factor(rule: str, n_coarse: int) -> float:
     return (4.0 * n_coarse - 1.0) / (4.0 * n_coarse - 3.0)
 
 
-def _validate_refine_args(rule: str, n0: int, tol: float, max_n: int) -> None:
+def _validate_refine_args(F: Integrand2D, rule: str, n0: int, tol: float, max_n: int) -> None:
+    if F.d22_sign is None:
+        raise ValueError(
+            "definiteness not declared: Integrand2D.d22_sign is required"
+        )
     if rule not in _RULES:
         raise ValueError(f"rule must be one of {_RULES}, got {rule!r}")
     if n0 < 1:
@@ -86,6 +97,67 @@ def _validate_refine_args(rule: str, n0: int, tol: float, max_n: int) -> None:
         raise ValueError(
             f"max_n must allow at least one doubling: need >= {2 * n0}, got {max_n}"
         )
+
+
+def _refine(
+    F: Integrand2D,
+    iv: Interval,
+    rule: str,
+    tol: float,
+    n0: int,
+    max_n: int,
+    trace_tol: float,
+) -> RefinementReport:
+    """The doubling loop behind :func:`refine` and :func:`refine_mean`.
+
+    ``rule`` is 's_minus', 's_plus' or 'mean'.  Each level costs one
+    pass over its grid, which serves both rules for 'mean'; the trace
+    integrals do not depend on the level and are computed once.
+    """
+    grid = _grid_pass(F, iv, n0)
+    traces = _trace_integrals(F, iv, TRACE_IDS if rule == "mean" else _RULE_TRACES[rule], trace_tol)
+    levels = []
+    while True:
+        diff = bound = table = certified = None
+        if rule == "mean":
+            lo = _combine("s_plus", F, iv, grid, traces)
+            hi = _combine("s_minus", F, iv, grid, traces)
+            estimate = 0.5 * (lo.value + hi.value)
+            budget = 0.5 * (lo.trace_err_budget + hi.trace_err_budget)
+            bound = certified = 0.5 * abs(hi.value - lo.value) + budget
+        else:
+            value = _combine(rule, F, iv, grid, traces)
+            estimate, budget = value.value, value.trace_err_budget
+        if levels:
+            diff = estimate - levels[-1].estimate
+            if rule != "mean":
+                bound = _bound_factor(rule, levels[-1].n) * abs(diff)
+                table = 0.5 * abs(diff) if rule == "s_minus" else bound
+                certified = bound + budget
+        levels.append(
+            RefinementLevel(
+                n=grid.n,
+                estimate=estimate,
+                diff_to_previous=diff,
+                aposteriori_bound=bound,
+                table_bound=table,
+                trace_budget=budget,
+            )
+        )
+        if certified is not None and certified <= tol:
+            termination = "tolerance_met"
+            break
+        if 2 * grid.n > max_n:
+            termination = "max_n_reached"
+            break
+        grid = _grid_pass(F, iv, 2 * grid.n)
+    return RefinementReport(
+        rule=rule,
+        levels=tuple(levels),
+        final_value=estimate,
+        final_bound=certified,
+        termination=termination,
+    )
 
 
 def refine(
@@ -106,57 +178,8 @@ def refine(
     value and bound).  The integrand must declare its mixed-derivative
     sign, since the bounds only hold for one-signed derivatives.
     """
-    if F.d22_sign is None:
-        raise ValueError(
-            "definiteness not declared: Integrand2D.d22_sign is required"
-        )
-    _validate_refine_args(rule, n0, tol, max_n)
-    evaluate = s_minus if rule == "s_minus" else s_plus
-
-    estimates = [evaluate(F, iv, n0, trace_tol=trace_tol)]
-    levels = [
-        RefinementLevel(
-            n=n0,
-            estimate=estimates[0].value,
-            diff_to_previous=None,
-            aposteriori_bound=None,
-            table_bound=None,
-            trace_budget=estimates[0].trace_err_budget,
-        )
-    ]
-    n = n0
-    while True:
-        coarse = estimates[-1]
-        fine = evaluate(F, iv, 2 * n, trace_tol=trace_tol)
-        diff = fine.value - coarse.value
-        bound = _bound_factor(rule, n) * abs(diff)
-        table = 0.5 * abs(diff) if rule == "s_minus" else bound
-        estimates.append(fine)
-        levels.append(
-            RefinementLevel(
-                n=2 * n,
-                estimate=fine.value,
-                diff_to_previous=diff,
-                aposteriori_bound=bound,
-                table_bound=table,
-                trace_budget=fine.trace_err_budget,
-            )
-        )
-        n *= 2
-        certified = bound + fine.trace_err_budget
-        if certified <= tol:
-            termination = "tolerance_met"
-            break
-        if 2 * n > max_n:
-            termination = "max_n_reached"
-            break
-    return RefinementReport(
-        rule=rule,
-        levels=tuple(levels),
-        final_value=levels[-1].estimate,
-        final_bound=certified,
-        termination=termination,
-    )
+    _validate_refine_args(F, rule, n0, tol, max_n)
+    return _refine(F, iv, rule, tol, n0, max_n, trace_tol)
 
 
 def refine_mean(
@@ -174,57 +197,8 @@ def refine_mean(
     plus the averaged trace budgets, valid already at the coarsest
     level because the true integral lies between the two rule values.
     """
-    if F.d22_sign is None:
-        raise ValueError(
-            "definiteness not declared: Integrand2D.d22_sign is required"
-        )
-    _validate_refine_args("s_minus", n0, tol, max_n)
-
-    def level_at(n: int) -> Tuple[RefinementLevel, float]:
-        lo = s_plus(F, iv, n, trace_tol=trace_tol)
-        hi = s_minus(F, iv, n, trace_tol=trace_tol)
-        mean = 0.5 * (lo.value + hi.value)
-        budget = 0.5 * (lo.trace_err_budget + hi.trace_err_budget)
-        halfgap = 0.5 * abs(hi.value - lo.value)
-        return (
-            RefinementLevel(
-                n=n,
-                estimate=mean,
-                diff_to_previous=None,
-                aposteriori_bound=halfgap + budget,
-                table_bound=None,
-                trace_budget=budget,
-            ),
-            halfgap + budget,
-        )
-
-    first, certified = level_at(n0)
-    levels = [first]
-    n = n0
-    termination = "tolerance_met"
-    while certified > tol:
-        if 2 * n > max_n:
-            termination = "max_n_reached"
-            break
-        level, certified = level_at(2 * n)
-        levels.append(
-            RefinementLevel(
-                n=level.n,
-                estimate=level.estimate,
-                diff_to_previous=level.estimate - levels[-1].estimate,
-                aposteriori_bound=level.aposteriori_bound,
-                table_bound=None,
-                trace_budget=level.trace_budget,
-            )
-        )
-        n *= 2
-    return RefinementReport(
-        rule="mean",
-        levels=tuple(levels),
-        final_value=levels[-1].estimate,
-        final_bound=levels[-1].aposteriori_bound,
-        termination=termination,
-    )
+    _validate_refine_args(F, "s_minus", n0, tol, max_n)
+    return _refine(F, iv, "mean", tol, n0, max_n, trace_tol)
 
 
 def definite_pair_bounds(

@@ -20,10 +20,10 @@ sampling cannot certify a sign.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, Mapping, NamedTuple, Optional, Tuple
 
-from .univariate import Interval, apply, trace_integral, trapezium_rule
+from .univariate import _SIGNS, Interval, apply, trace_integral, trapezium_rule
 
 __all__ = [
     "TRACE_IDS",
@@ -41,8 +41,6 @@ __all__ = [
 #: Identifiers of the six univariate traces of a bivariate integrand:
 #: restrictions to the four edges of the square and to its two mid-lines.
 TRACE_IDS = ("left", "right", "down", "up", "vertical-mid", "horizontal-mid")
-
-_D22_SIGNS = ("nonnegative", "nonpositive")
 
 
 @dataclass(frozen=True)
@@ -70,9 +68,9 @@ class Integrand2D:
     exact_traces: Optional[Mapping[str, Callable[[Interval], float]]] = None
 
     def __post_init__(self) -> None:
-        if self.d22_sign is not None and self.d22_sign not in _D22_SIGNS:
+        if self.d22_sign is not None and self.d22_sign not in _SIGNS:
             raise ValueError(
-                f"d22_sign must be one of {_D22_SIGNS}, got {self.d22_sign!r}"
+                f"d22_sign must be one of {_SIGNS}, got {self.d22_sign!r}"
             )
         if self.exact_traces is not None:
             unknown = set(self.exact_traces) - set(TRACE_IDS)
@@ -136,15 +134,122 @@ def _trace_function(f: Callable[[float, float], float], trace_id: str, iv: Inter
     raise ValueError(f"unknown trace id {trace_id!r}")
 
 
-def _trace_remainder(
-    F: Integrand2D, trace_id: str, iv: Interval, n: int, trace_tol: float
-):
-    """Trapezium remainder I[g] - Q_n[g] of one trace g, with its budget."""
-    g = _trace_function(F.f, trace_id, iv)
-    exact = (F.exact_traces or {}).get(trace_id)
-    value, budget = trace_integral(g, iv, exact=exact, tol=trace_tol)
-    q = apply(trapezium_rule(iv, n), g)
-    return value - q, budget
+#: Trace lines whose remainders correct ``C_n`` in each one-sided rule.
+_RULE_TRACES = {
+    "s_minus": ("vertical-mid", "horizontal-mid"),
+    "s_plus": ("left", "right", "down", "up"),
+}
+
+
+class _GridPass(NamedTuple):
+    """Everything one evaluation of the (n+1)^2 grid yields.
+
+    ``sums`` maps a trace id to the trapezium sum ``Q_n`` of that trace.
+    The four edges are always present; the mid-lines only when they are
+    grid lines, i.e. n is even and node n/2 is the interval midpoint.
+    """
+
+    n: int
+    product: float
+    sums: Dict[str, float]
+
+
+def _grid_pass(F: Integrand2D, iv: Interval, n: int) -> _GridPass:
+    """Evaluate f once on the grid: ``C_n`` and the trace sums on grid lines.
+
+    Rows are summed with ``math.fsum`` and combined in fixed index
+    order.  The trace along row i is ``fsum`` of that row's terms, and a
+    column's trace term in row i is ``terms[c] * (wx / weights[c])``,
+    where the weight ratio is exactly 1, 2 or 1/2; so every sum equals
+    the one :func:`apply` computes on the trace bit for bit.
+    """
+    rule = trapezium_rule(iv, n)
+    nodes, weights = rule.nodes, rule.weights
+    f = F.f
+    mid = n // 2 if n % 2 == 0 and nodes[n // 2] == iv.midpoint else None
+    w_end = weights[0]
+    row_fsums = []
+    down, up, horizontal = [], [], []
+    for x, wx in zip(nodes, weights):
+        terms = []
+        for y, wy in zip(nodes, weights):
+            v = f(x, y)
+            if not math.isfinite(v):
+                raise ValueError(
+                    f"integrand returned non-finite value {v!r} at grid point ({x!r}, {y!r})"
+                )
+            terms.append(wy * v)
+        row_fsums.append(math.fsum(terms))
+        to_end = wx / w_end
+        down.append(terms[0] * to_end)
+        up.append(terms[n] * to_end)
+        if mid is not None:
+            horizontal.append(terms[mid] * (wx / weights[mid]))
+    sums = {
+        "left": row_fsums[0],
+        "right": row_fsums[n],
+        "down": math.fsum(down),
+        "up": math.fsum(up),
+    }
+    if mid is not None:
+        sums["vertical-mid"] = row_fsums[mid]
+        sums["horizontal-mid"] = math.fsum(horizontal)
+    product = math.fsum(wx * s for wx, s in zip(weights, row_fsums))
+    return _GridPass(n=n, product=product, sums=sums)
+
+
+def _trace_integrals(
+    F: Integrand2D, iv: Interval, trace_ids, trace_tol: float
+) -> Dict[str, Tuple[float, float]]:
+    """``(value, budget)`` of each named trace integral over iv."""
+    exact = F.exact_traces or {}
+    return {
+        tid: trace_integral(
+            _trace_function(F.f, tid, iv), iv, exact=exact.get(tid), tol=trace_tol
+        )
+        for tid in trace_ids
+    }
+
+
+def _combine(
+    rule: str,
+    F: Integrand2D,
+    iv: Interval,
+    grid: _GridPass,
+    traces: Mapping[str, Tuple[float, float]],
+) -> CubatureEstimate:
+    """One-sided rule value from a grid pass and its trace integrals.
+
+    A mid-line that is not a grid line gets its trapezium sum here, so
+    only the mid-line rule ever evaluates f off the grid.
+    """
+    remainders = []
+    budgets = []
+    for tid in _RULE_TRACES[rule]:
+        value, budget = traces[tid]
+        q = grid.sums.get(tid)
+        if q is None:
+            q = apply(trapezium_rule(iv, grid.n), _trace_function(F.f, tid, iv))
+        remainders.append(value - q)
+        budgets.append(budget)
+    if rule == "s_minus":
+        # Plain addition, not fsum: fsum turns -0.0 + -0.0 into +0.0.
+        w, correction, budget = iv.width, remainders[0] + remainders[1], budgets[0] + budgets[1]
+    else:
+        w, correction, budget = 0.5 * iv.width, math.fsum(remainders), math.fsum(budgets)
+    return CubatureEstimate(
+        value=grid.product + w * correction,
+        rule=rule,
+        n=grid.n,
+        trace_err_budget=w * budget,
+    )
+
+
+def _one_rule(
+    rule: str, F: Integrand2D, iv: Interval, n: int, trace_tol: float
+) -> CubatureEstimate:
+    grid = _grid_pass(F, iv, n)
+    return _combine(rule, F, iv, grid, _trace_integrals(F, iv, _RULE_TRACES[rule], trace_tol))
 
 
 def product_trapezoid(F: Integrand2D, iv: Interval, n: int) -> CubatureEstimate:
@@ -161,21 +266,7 @@ def product_trapezoid(F: Integrand2D, iv: Interval, n: int) -> CubatureEstimate:
         If the integrand returns a non-finite value; the message names
         the offending grid point.
     """
-    rule = trapezium_rule(iv, n)
-    nodes, weights = rule.nodes, rule.weights
-    f = F.f
-    row_sums = []
-    for x, wx in zip(nodes, weights):
-        terms = []
-        for y, wy in zip(nodes, weights):
-            v = f(x, y)
-            if not math.isfinite(v):
-                raise ValueError(
-                    f"integrand returned non-finite value {v!r} at grid point ({x!r}, {y!r})"
-                )
-            terms.append(wy * v)
-        row_sums.append(wx * math.fsum(terms))
-    return CubatureEstimate(value=math.fsum(row_sums), rule="product_trap", n=n)
+    return CubatureEstimate(value=_grid_pass(F, iv, n).product, rule="product_trap", n=n)
 
 
 def s_minus(
@@ -193,16 +284,7 @@ def s_minus(
     an upper bound for the true integral (a lower bound when
     ``D22 f <= 0``).
     """
-    base = product_trapezoid(F, iv, n)
-    rv, bv = _trace_remainder(F, "vertical-mid", iv, n, trace_tol)
-    rh, bh = _trace_remainder(F, "horizontal-mid", iv, n, trace_tol)
-    w = iv.width
-    return CubatureEstimate(
-        value=base.value + w * (rv + rh),
-        rule="s_minus",
-        n=n,
-        trace_err_budget=w * (bv + bh),
-    )
+    return _one_rule("s_minus", F, iv, n, trace_tol)
 
 
 def s_plus(
@@ -219,20 +301,7 @@ def s_plus(
     On integrands with ``D22 f >= 0`` the result is a lower bound for
     the true integral (an upper bound when ``D22 f <= 0``).
     """
-    base = product_trapezoid(F, iv, n)
-    remainders = []
-    budgets = []
-    for tid in ("left", "right", "down", "up"):
-        r, bud = _trace_remainder(F, tid, iv, n, trace_tol)
-        remainders.append(r)
-        budgets.append(bud)
-    w = 0.5 * iv.width
-    return CubatureEstimate(
-        value=base.value + w * math.fsum(remainders),
-        rule="s_plus",
-        n=n,
-        trace_err_budget=w * math.fsum(budgets),
-    )
+    return _one_rule("s_plus", F, iv, n, trace_tol)
 
 
 def error_constant(rule: str, iv: Interval, n: int) -> float:
@@ -269,11 +338,15 @@ def enclosure(
     the roles of the two rules swap for a nonpositive declaration.
     The slack is the larger of the two trace-integral budgets, applied
     to both ends, so the interval stays certified under inexact traces.
+    With ``n_plus == n_minus`` both rules share one pass over the grid.
     """
     if F.d22_sign is None:
         raise ValueError("definiteness not declared: Integrand2D.d22_sign is required")
-    low = s_plus(F, iv, n_plus, trace_tol)
-    high = s_minus(F, iv, n_minus, trace_tol)
+    grid_plus = _grid_pass(F, iv, n_plus)
+    grid_minus = grid_plus if n_minus == n_plus else _grid_pass(F, iv, n_minus)
+    traces = _trace_integrals(F, iv, TRACE_IDS, trace_tol)
+    low = _combine("s_plus", F, iv, grid_plus, traces)
+    high = _combine("s_minus", F, iv, grid_minus, traces)
     if F.d22_sign == "nonpositive":
         low, high = high, low
     slack = max(low.trace_err_budget, high.trace_err_budget)
@@ -366,45 +439,29 @@ def blending_form_value(
     the same :func:`trace_integral` path as the direct rules, so the
     two routes share identical trace values.
     """
+    if rule not in _RULE_TRACES:
+        raise ValueError(f"unknown rule {rule!r} (expected 's_minus' or 's_plus')")
+    if rule == "s_minus" and (fx is None or fy is None or fxy is None):
+        raise ValueError(
+            "the s_minus construction route needs fx, fy and fxy callables"
+        )
     f = F.f
+    traces = _trace_integrals(F, iv, _RULE_TRACES[rule], trace_tol)
     if rule == "s_minus":
-        if fx is None or fy is None or fxy is None:
-            raise ValueError(
-                "the s_minus construction route needs fx, fy and fxy callables"
-            )
-        iv_v, bv = trace_integral(
-            _trace_function(f, "vertical-mid", iv),
-            iv,
-            exact=(F.exact_traces or {}).get("vertical-mid"),
-            tol=trace_tol,
-        )
-        iv_h, bh = trace_integral(
-            _trace_function(f, "horizontal-mid", iv),
-            iv,
-            exact=(F.exact_traces or {}).get("horizontal-mid"),
-            tol=trace_tol,
-        )
         m = iv.midpoint
         w = iv.width
-        integral_bf = w * (iv_v + iv_h) - w * w * f(m, m)
+        integral_bf = (
+            w * (traces["vertical-mid"][0] + traces["horizontal-mid"][0])
+            - w * w * f(m, m)
+        )
         Bf = _blending_interpolant_mid(f, fx, fy, fxy, iv)
-    elif rule == "s_plus":
-        edge_integrals = []
-        for tid in ("left", "right", "down", "up"):
-            val, _ = trace_integral(
-                _trace_function(f, tid, iv),
-                iv,
-                exact=(F.exact_traces or {}).get(tid),
-                tol=trace_tol,
-            )
-            edge_integrals.append(val)
+    else:
         a, b = iv.a, iv.b
         w = 0.5 * iv.width
         corner_sum = f(a, a) + f(a, b) + f(b, a) + f(b, b)
-        integral_bf = w * math.fsum(edge_integrals) - w * w * corner_sum
+        edges = math.fsum(traces[tid][0] for tid in _RULE_TRACES["s_plus"])
+        integral_bf = w * edges - w * w * corner_sum
         Bf = _blending_interpolant_edges(f, iv)
-    else:
-        raise ValueError(f"unknown rule {rule!r} (expected 's_minus' or 's_plus')")
 
     c_f = product_trapezoid(F, iv, n).value
     c_bf = product_trapezoid(Integrand2D(Bf), iv, n).value

@@ -18,15 +18,12 @@ thresholds visible in closed form.
 """
 from __future__ import annotations
 
-import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .univariate import Interval, apply, midpoint_rule, peano_kernel, trapezium_rule
+from .univariate import _SIGNS, Interval, apply, midpoint_rule, peano_kernel, trapezium_rule
 
 __all__ = [
     "KernelSpec",
@@ -41,7 +38,6 @@ __all__ = [
 ]
 
 _KERNEL_KINDS = ("k22_s_minus", "k22_s_plus", "phi_minus", "phi_plus")
-_SIGNS = ("nonnegative", "nonpositive")
 
 #: Relative slack separating true sign violations from rounding noise at
 #: the kernel's zero set (the kernels vanish identically on grid lines).
@@ -213,42 +209,6 @@ def _row_evaluator(spec: KernelSpec, grid: np.ndarray) -> Callable[[int], np.nda
     return row
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("CUBATURE_THREADS")
-    if raw is None:
-        return 1
-    try:
-        count = int(raw)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ValueError(
-            f"CUBATURE_THREADS must be a positive integer, got {raw!r}"
-        )
-    return count
-
-
-def _scan_rows(
-    row: Callable[[int], np.ndarray],
-    rows: range,
-    grid: np.ndarray,
-    expected: str,
-) -> Tuple[List[Tuple[float, float, float]], float]:
-    """Scan a contiguous block of rows; returns sign-breaking candidates
-    (before slack filtering) in row-major order plus the block's scale."""
-    candidates: List[Tuple[float, float, float]] = []
-    scale = 0.0
-    for i in rows:
-        values = row(i)
-        scale = max(scale, float(np.max(np.abs(values))))
-        bad = values < 0.0 if expected == "nonnegative" else values > 0.0
-        if bad.any():
-            t = float(grid[i])
-            for j in np.flatnonzero(bad):
-                candidates.append((t, float(grid[j]), float(values[j])))
-    return candidates, scale
-
-
 def definiteness_scan(spec: KernelSpec, expected: str, resolution: int) -> ScanReport:
     """Check the expected sign of a kernel on a uniform grid.
 
@@ -262,11 +222,6 @@ def definiteness_scan(spec: KernelSpec, expected: str, resolution: int) -> ScanR
     critical constants hug the grid lines, so catching them needs a
     resolution that is a multiple of ``4 n`` and fine compared to
     ``1/c_deficit``; passing scans are insensitive to the choice.
-
-    The scan parallelizes over row blocks when the environment variable
-    ``CUBATURE_THREADS`` asks for more than one thread; results are
-    merged in block order, so the report does not depend on the thread
-    count.
     """
     if expected not in _SIGNS:
         raise ValueError(f"expected sign must be one of {_SIGNS}, got {expected!r}")
@@ -274,19 +229,17 @@ def definiteness_scan(spec: KernelSpec, expected: str, resolution: int) -> ScanR
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     grid = np.linspace(spec.iv.a, spec.iv.b, resolution + 1)
     row = _row_evaluator(spec, grid)
-    total_rows = resolution + 1
-    threads = _thread_count()
-    if threads > 1:
-        block = max(32, total_rows // (4 * threads))
-        blocks = [range(s, min(s + block, total_rows)) for s in range(0, total_rows, block)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(lambda r: _scan_rows(row, r, grid, expected), blocks)
-            )
-        candidates = [c for cand, _ in results for c in cand]
-        scale = max(s for _, s in results)
-    else:
-        candidates, scale = _scan_rows(row, range(total_rows), grid, expected)
+    # Sign-breaking candidates in row-major order, before slack filtering.
+    candidates: List[Tuple[float, float, float]] = []
+    scale = 0.0
+    for i in range(resolution + 1):
+        values = row(i)
+        scale = max(scale, float(np.max(np.abs(values))))
+        bad = values < 0.0 if expected == "nonnegative" else values > 0.0
+        if bad.any():
+            t = float(grid[i])
+            for j in np.flatnonzero(bad):
+                candidates.append((t, float(grid[j]), float(values[j])))
     slack = SCAN_SLACK_FACTOR * scale
     violations = tuple(
         (t, tau, v) for (t, tau, v) in candidates if abs(v) > slack

@@ -11,7 +11,7 @@ one-sided.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 __all__ = [
@@ -25,6 +25,10 @@ __all__ = [
     "peano_kernel_integral_k2",
     "trace_integral",
 ]
+
+#: The two signs a Peano kernel or a mixed derivative can be declared or
+#: checked to keep.
+_SIGNS = ("nonnegative", "nonpositive")
 
 
 @dataclass(frozen=True)

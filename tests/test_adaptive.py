@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import trapcube.cubature as cubature
 from trapcube.adaptive import definite_pair_bounds, refine, refine_mean
 from trapcube.cubature import Integrand2D, s_minus, s_plus
 from trapcube.oracle import ref_exp_integral, ref_sin_integral
@@ -161,3 +162,38 @@ def test_definite_pair_bounds_reproduce_the_refine_bounds():
     c = (4.0 * lv_prev.n - 1.0) / (4.0 * lv_prev.n - 3.0)
     tight_p, _ = definite_pair_bounds("pos_pair", c, lv.estimate, lv_prev.estimate)
     assert tight_p == pytest.approx(lv.aposteriori_bound, rel=1e-15)
+
+
+def test_refine_evaluates_each_level_grid_once_with_exact_traces(counted_exp_xy):
+    F, calls = counted_exp_xy
+    report = refine(F, UNIT, "s_minus", tol=1e-4, n0=4)
+    assert [lv.n for lv in report.levels] == [4, 8, 16, 32]
+    assert calls[0] == 25 + 81 + 289 + 1089
+    for solve in (
+        lambda: refine(F, UNIT, "s_plus", tol=1e-6, n0=4),
+        lambda: refine_mean(F, UNIT, tol=1e-6, n0=4),
+    ):
+        calls[0] = 0
+        report = solve()
+        assert len(report.levels) >= 4
+        assert calls[0] == sum((lv.n + 1) ** 2 for lv in report.levels)
+
+
+@pytest.mark.parametrize("rule,traces", [("s_minus", 2), ("s_plus", 4), ("mean", 6)])
+def test_refine_integrates_each_trace_once_per_solve(monkeypatch, rule, traces):
+    """Romberg traces do not depend on the level, so a solve over several
+    levels integrates each of its traces exactly once."""
+    calls = []
+    romberg = cubature.trace_integral
+
+    def counted(g, iv, exact=None, tol=1e-12):
+        calls.append(1)
+        return romberg(g, iv, exact=exact, tol=tol)
+
+    monkeypatch.setattr(cubature, "trace_integral", counted)
+    if rule == "mean":
+        report = refine_mean(EXP, UNIT, tol=1e-6)
+    else:
+        report = refine(EXP, UNIT, rule, tol=1e-6)
+    assert len(report.levels) >= 3
+    assert len(calls) == traces

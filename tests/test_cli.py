@@ -193,13 +193,6 @@ def test_scan_usage_errors(capsys):
     assert run(capsys, "scan", "--kernel", "k22-plus", "--n", "0")[0] == 2
 
 
-def test_scan_invalid_thread_env_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("CUBATURE_THREADS", "-3")
-    code, _, err = run(capsys, "scan", "--kernel", "k22-minus", "--n", "1")
-    assert code == 2
-    assert "CUBATURE_THREADS" in err
-
-
 def test_table_rows_rejects_non_table_builtins():
     with pytest.raises(ValueError):
         table_rows("bilinear_xy", [4])

@@ -17,7 +17,7 @@ from trapcube.cubature import (
     s_plus,
 )
 from trapcube.oracle import ref_exp_integral, ref_sin_integral
-from trapcube.univariate import Interval
+from trapcube.univariate import Interval, apply, trace_integral, trapezium_rule
 
 UNIT = Interval(0.0, 1.0)
 
@@ -222,3 +222,34 @@ def test_blending_route_on_shifted_square():
         direct = (s_plus if rule == "s_plus" else s_minus)(poly, iv, 3, trace_tol=1e-13).value
         built = blending_form_value(poly, iv, 3, rule, trace_tol=1e-13, **kwargs)
         assert built == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 4, 5, 16])
+def test_grid_is_evaluated_once_per_rule_application(counted_exp_xy, n):
+    """The product rule, s_plus and a same-level enclosure cost one grid
+    pass; only mid-lines off the grid (odd n) cost extra points."""
+    F, calls = counted_exp_xy
+    product_trapezoid(F, UNIT, n)
+    assert calls[0] == (n + 1) ** 2
+    calls[0] = 0
+    s_plus(F, UNIT, n)
+    assert calls[0] == (n + 1) ** 2
+    calls[0] = 0
+    enclosure(F, UNIT, n, n)
+    off_grid_midlines = 0 if n % 2 == 0 else 2 * (n + 1)
+    assert calls[0] == (n + 1) ** 2 + off_grid_midlines
+
+
+@pytest.mark.parametrize("a,b,n", [(0.3, 1.0, 6), (0.3, 1.0, 5), (0.0, 1.0, 8)])
+def test_s_minus_equals_its_formula_bit_for_bit(a, b, n):
+    """On [0.3, 1] grid node 3 of n=6 is 0.6499999999999999, not the
+    midpoint 0.65, so there the mid-line sums must not come from the grid."""
+    iv = Interval(a, b)
+    f, m = EXP.f, iv.midpoint
+    rule = trapezium_rule(iv, n)
+    remainders = []
+    for g in (lambda t: f(m, t), lambda t: f(t, m)):
+        value, _ = trace_integral(g, iv)
+        remainders.append(value - apply(rule, g))
+    expected = product_trapezoid(EXP, iv, n).value + iv.width * (remainders[0] + remainders[1])
+    assert s_minus(EXP, iv, n).value == expected

@@ -162,23 +162,6 @@ def test_scan_rejects_bad_arguments():
         definiteness_scan(spec, "nonpositive", 1)
 
 
-def test_scan_thread_count_does_not_change_the_report(monkeypatch):
-    spec = KernelSpec(kind="phi_minus", iv=UNIT, n=2, c=0.9)
-    monkeypatch.delenv("CUBATURE_THREADS", raising=False)
-    sequential = definiteness_scan(spec, "nonnegative", 600)
-    monkeypatch.setenv("CUBATURE_THREADS", "3")
-    threaded = definiteness_scan(spec, "nonnegative", 600)
-    assert sequential == threaded
-
-
-def test_scan_rejects_invalid_thread_count(monkeypatch):
-    spec = KernelSpec(kind="k22_s_minus", iv=UNIT, n=1)
-    for bad in ("0", "-2", "many"):
-        monkeypatch.setenv("CUBATURE_THREADS", bad)
-        with pytest.raises(ValueError, match="CUBATURE_THREADS"):
-            definiteness_scan(spec, "nonpositive", 8)
-
-
 # Local cell polynomials.
 
 cells = st.integers(min_value=2, max_value=12).flatmap(
