@@ -32,6 +32,8 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .adaptive import RefinementReport, _bound_factor, refine, refine_mean
 from .cubature import TRACE_IDS, Integrand2D, _combine, _grid_pass, _trace_integrals
 from .kernels import SCAN_SLACK_FACTOR, KernelSpec, ScanReport, definiteness_scan
@@ -48,7 +50,8 @@ class BuiltinIntegrand:
     The declared mixed-derivative sign is guaranteed on squares in the
     first quadrant of moderate size (the defaults [0, 1]^2 in
     particular); the trace integrals are closed forms valid on any
-    square.
+    square.  The integrands are numpy expressions declared vectorized,
+    so the grid pass evaluates them on blocks of rows.
     """
 
     id: str
@@ -106,18 +109,20 @@ BUILTINS: Dict[str, BuiltinIntegrand] = {
         id="exp_xy",
         description="e^(x y); mixed derivative nonnegative where x y >= 0",
         integrand=Integrand2D(
-            f=lambda x, y: math.exp(x * y),
+            f=lambda x, y: np.exp(x * y),
             d22_sign="nonnegative",
             exact_traces=_traces(_exp_line),
+            vectorized=True,
         ),
     ),
     "sin_xy": BuiltinIntegrand(
         id="sin_xy",
         description="sin(x y); mixed derivative nonpositive on the unit square",
         integrand=Integrand2D(
-            f=lambda x, y: math.sin(x * y),
+            f=lambda x, y: np.sin(x * y),
             d22_sign="nonpositive",
             exact_traces=_traces(_sin_line),
+            vectorized=True,
         ),
     ),
     "poly_x2y2": BuiltinIntegrand(
@@ -127,6 +132,7 @@ BUILTINS: Dict[str, BuiltinIntegrand] = {
             f=lambda x, y: (x * x) * (y * y),
             d22_sign="nonnegative",
             exact_traces=_traces(_sq_line),
+            vectorized=True,
         ),
     ),
     "bilinear_xy": BuiltinIntegrand(
@@ -136,6 +142,7 @@ BUILTINS: Dict[str, BuiltinIntegrand] = {
             f=lambda x, y: x * y,
             d22_sign="nonnegative",
             exact_traces=_traces(_bilinear_line),
+            vectorized=True,
         ),
     ),
 }

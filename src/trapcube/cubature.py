@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .univariate import _SIGNS, Interval, apply, trace_integral, trapezium_rule
 
@@ -50,7 +52,7 @@ class Integrand2D:
     Parameters
     ----------
     f : callable
-        The integrand, evaluated as ``f(x, y)``.
+        The integrand, evaluated as ``f(x, y)`` on floats.
     d22_sign : {'nonnegative', 'nonpositive'}, optional
         Declared sign of the mixed derivative ``D22 f`` on the open
         square.  Required by every operation that claims one-sidedness
@@ -61,11 +63,20 @@ class Integrand2D:
         the exact value of that trace integral for a given interval.
         Traces without a supplier fall back to adaptive Romberg
         integration, whose tolerance then enters the error budget.
+    vectorized : bool, optional
+        Declares that f also accepts numpy arrays.  The grid pass then
+        calls ``f(X, Y)`` on blocks of rows, with X a column of x nodes
+        of shape ``(r, 1)`` and Y the row of y nodes of shape
+        ``(1, n+1)``; the result must broadcast to ``(r, n+1)``, so a
+        constant integrand may return a scalar.  Off-grid lines and
+        traces still call f on floats.  Default False: every point is a
+        scalar call, which is the reference path.
     """
 
     f: Callable[[float, float], float]
     d22_sign: Optional[str] = None
     exact_traces: Optional[Mapping[str, Callable[[Interval], float]]] = None
+    vectorized: bool = False
 
     def __post_init__(self) -> None:
         if self.d22_sign is not None and self.d22_sign not in _SIGNS:
@@ -154,22 +165,14 @@ class _GridPass(NamedTuple):
     sums: Dict[str, float]
 
 
-def _grid_pass(F: Integrand2D, iv: Interval, n: int) -> _GridPass:
-    """Evaluate f once on the grid: ``C_n`` and the trace sums on grid lines.
+#: Points per block when a vectorized integrand is evaluated on the grid.
+_BLOCK_POINTS = 4096
 
-    Rows are summed with ``math.fsum`` and combined in fixed index
-    order.  The trace along row i is ``fsum`` of that row's terms, and a
-    column's trace term in row i is ``terms[c] * (wx / weights[c])``,
-    where the weight ratio is exactly 1, 2 or 1/2; so every sum equals
-    the one :func:`apply` computes on the trace bit for bit.
-    """
-    rule = trapezium_rule(iv, n)
-    nodes, weights = rule.nodes, rule.weights
-    f = F.f
-    mid = n // 2 if n % 2 == 0 and nodes[n // 2] == iv.midpoint else None
-    w_end = weights[0]
-    row_fsums = []
-    down, up, horizontal = [], [], []
+
+def _scalar_rows(
+    f: Callable[[float, float], float], nodes: Tuple[float, ...], weights: Tuple[float, ...]
+) -> Iterator[Tuple[float, List[float]]]:
+    """``(wx, terms)`` per grid row, with one call of f per point."""
     for x, wx in zip(nodes, weights):
         terms = []
         for y, wy in zip(nodes, weights):
@@ -179,6 +182,67 @@ def _grid_pass(F: Integrand2D, iv: Interval, n: int) -> _GridPass:
                     f"integrand returned non-finite value {v!r} at grid point ({x!r}, {y!r})"
                 )
             terms.append(wy * v)
+        yield wx, terms
+
+
+def _array_rows(
+    f: Callable, nodes: Tuple[float, ...], weights: Tuple[float, ...]
+) -> Iterator[Tuple[float, Sequence[float]]]:
+    """``(wx, terms)`` per grid row, with one call of f per block of rows.
+
+    ``terms`` holds the same IEEE products ``wy * v`` the scalar path
+    forms, so equal values give equal rows.  It is a memoryview of the
+    block, which yields Python floats without building a list of them.
+    """
+    size = len(nodes)
+    X = np.array(nodes).reshape(size, 1)
+    Y = X.reshape(1, size)
+    W = np.array(weights)
+    rows = max(1, _BLOCK_POINTS // size)
+    for start in range(0, size, rows):
+        Xb = X[start : start + rows]
+        shape = (len(Xb), size)
+        V = np.asarray(f(Xb, Y))
+        if np.iscomplexobj(V):
+            raise TypeError(f"vectorized integrand returned complex values ({V.dtype})")
+        V = V.astype(float, copy=False)
+        try:
+            V = np.broadcast_to(V, shape)
+        except ValueError:
+            raise ValueError(
+                f"vectorized integrand returned shape {V.shape}, "
+                f"which does not broadcast to {shape}"
+            ) from None
+        bad = ~np.isfinite(V)
+        if bad.any():
+            i, j = (int(k) for k in np.argwhere(bad)[0])
+            raise ValueError(
+                f"integrand returned non-finite value {float(V[i, j])!r} "
+                f"at grid point ({nodes[start + i]!r}, {nodes[j]!r})"
+            )
+        for i, terms in enumerate(V * W, start):
+            yield weights[i], memoryview(terms)
+
+
+def _grid_pass(F: Integrand2D, iv: Interval, n: int) -> _GridPass:
+    """Evaluate f once on the grid: ``C_n`` and the trace sums on grid lines.
+
+    Rows are summed with ``math.fsum`` and combined in fixed index
+    order.  The trace along row i is ``fsum`` of that row's terms, and a
+    column's trace term in row i is ``terms[c] * (wx / weights[c])``,
+    where the weight ratio is exactly 1, 2 or 1/2; so every sum equals
+    the one :func:`apply` computes on the trace bit for bit.  A
+    vectorized integrand feeds the same reductions, so it gives the
+    scalar path's result whenever its values are equal.
+    """
+    rule = trapezium_rule(iv, n)
+    nodes, weights = rule.nodes, rule.weights
+    mid = n // 2 if n % 2 == 0 and nodes[n // 2] == iv.midpoint else None
+    w_end = weights[0]
+    row_fsums = []
+    down, up, horizontal = [], [], []
+    rows = _array_rows if F.vectorized else _scalar_rows
+    for wx, terms in rows(F.f, nodes, weights):
         row_fsums.append(math.fsum(terms))
         to_end = wx / w_end
         down.append(terms[0] * to_end)

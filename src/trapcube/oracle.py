@@ -89,12 +89,17 @@ def ref_sin_integral() -> ReferenceValue:
 
 
 def _eval_row(f: Callable[[float, float], float], x: float, ys: np.ndarray) -> np.ndarray:
-    """Evaluate f(x, .) along a grid row, accepting scalar-only callables."""
+    """Evaluate f(x, .) along a grid row, accepting scalar-only callables.
+
+    A scalar-only callable given an array raises TypeError or ValueError
+    (or returns the wrong shape); only those fall back to a loop of
+    scalar calls, so other errors from f propagate.
+    """
     try:
         values = np.asarray(f(x, ys), dtype=float)
         if values.shape == ys.shape:
             return values
-    except Exception:
+    except (TypeError, ValueError):
         pass
     return np.array([float(f(x, y)) for y in ys])
 

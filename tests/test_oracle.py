@@ -89,6 +89,19 @@ def test_brute_force_accepts_scalar_only_callables():
     assert abs(value - ref_exp_integral().value) < 1e-9
 
 
+def test_brute_force_propagates_errors_of_array_aware_callables():
+    """Only the TypeError/ValueError of a scalar-only callable selects the
+    scalar fallback; a bug in f's array branch is not swallowed."""
+
+    def f(x, y):
+        if isinstance(y, np.ndarray):
+            raise ZeroDivisionError("bug in the array branch")
+        return x * y
+
+    with pytest.raises(ZeroDivisionError, match="array branch"):
+        brute_force_integral(f, UNIT, 2)
+
+
 def test_brute_force_on_shifted_square():
     iv = Interval(-1.0, 2.0)
     value = brute_force_integral(lambda x, y: x + y, iv, 4)
