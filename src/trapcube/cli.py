@@ -29,13 +29,13 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .adaptive import RefinementReport, _bound_factor, refine, refine_mean
-from .cubature import TRACE_IDS, Integrand2D, _combine, _grid_pass, _trace_integrals
+from .cubature import _TRACE_LINES, TRACE_IDS, Integrand2D, _combine, _grid_pass, _trace_integrals
 from .kernels import SCAN_SLACK_FACTOR, KernelSpec, ScanReport, definiteness_scan
 from .oracle import ReferenceValue, ref_exp_integral, ref_sin_integral
 from .univariate import ConvergenceError, Interval
@@ -59,15 +59,6 @@ class BuiltinIntegrand:
     integrand: Integrand2D
 
 
-def _coordinate(trace_id: str) -> Callable[[Interval], float]:
-    """The frozen coordinate of a trace line, as a function of the square."""
-    if trace_id in ("left", "down"):
-        return lambda iv: iv.a
-    if trace_id in ("right", "up"):
-        return lambda iv: iv.b
-    return lambda iv: iv.midpoint
-
-
 def _traces(line_integral: Callable[[float, Interval], float]) -> Dict[str, Callable[[Interval], float]]:
     """Wire one closed-form line integral to all six trace lines.
 
@@ -77,11 +68,13 @@ def _traces(line_integral: Callable[[float, Interval], float]) -> Dict[str, Call
     directions.
     """
 
-    def supplier(trace_id: str) -> Callable[[Interval], float]:
-        coord = _coordinate(trace_id)
-        return lambda iv: line_integral(coord(iv), iv)
+    def supplier(coordinate_of: Callable[[Interval], float]) -> Callable[[Interval], float]:
+        return lambda iv: line_integral(coordinate_of(iv), iv)
 
-    return {trace_id: supplier(trace_id) for trace_id in TRACE_IDS}
+    return {
+        trace_id: supplier(coordinate_of)
+        for trace_id, (_, coordinate_of) in _TRACE_LINES.items()
+    }
 
 
 def _exp_line(c: float, iv: Interval) -> float:
@@ -216,41 +209,46 @@ def table_rows(fn_id: str, n_list: Sequence[int]) -> Tuple[ReferenceValue, List[
     return reference, rows
 
 
-def _emit_integrate(report: RefinementReport, fn_id: str, iv: Interval, fmt: str) -> None:
-    columns = (
-        "n", "estimate", "diff_to_previous",
-        "aposteriori_bound", "table_bound", "trace_budget",
-    )
+def _cell(value: object) -> str:
+    if value is None:
+        return ""
+    return str(value) if isinstance(value, int) else _full(value)
+
+
+def _emit_records(
+    fmt: str, records: Sequence, header: Optional[dict] = None, summary: Optional[dict] = None
+) -> None:
+    """Print report dataclasses as csv or JSON Lines.
+
+    The columns are the dataclass fields in declaration order; records
+    must not be empty.  csv prints a line of field names and one line per
+    record; json prints ``header``, one object per record, then
+    ``summary``, each when given.
+    """
     if fmt == "csv":
-        print(",".join(columns))
-        for lv in report.levels:
-            cells = [
-                str(lv.n), _full(lv.estimate),
-                "" if lv.diff_to_previous is None else _full(lv.diff_to_previous),
-                "" if lv.aposteriori_bound is None else _full(lv.aposteriori_bound),
-                "" if lv.table_bound is None else _full(lv.table_bound),
-                _full(lv.trace_budget),
-            ]
-            print(",".join(cells))
+        names = [f.name for f in fields(records[0])]
+        print(",".join(names))
+        for record in records:
+            print(",".join(_cell(getattr(record, name)) for name in names))
         return
-    if fmt == "json":
-        for lv in report.levels:
-            print(json.dumps({
-                "n": lv.n,
-                "estimate": lv.estimate,
-                "diff_to_previous": lv.diff_to_previous,
-                "aposteriori_bound": lv.aposteriori_bound,
-                "table_bound": lv.table_bound,
-                "trace_budget": lv.trace_budget,
-            }))
-        print(json.dumps({
+    if header is not None:
+        print(json.dumps(header))
+    for record in records:
+        print(json.dumps(asdict(record)))
+    if summary is not None:
+        print(json.dumps(summary))
+
+
+def _emit_integrate(report: RefinementReport, fn_id: str, iv: Interval, fmt: str) -> None:
+    if fmt != "text":
+        _emit_records(fmt, report.levels, summary={
             "fn": fn_id,
             "rule": report.rule,
             "final_n": report.final_n,
             "final_value": report.final_value,
             "final_bound": report.final_bound,
             "termination": report.termination,
-        }))
+        })
         return
     print(f"fn={fn_id}  rule={report.rule}  square=[{iv.a:g}, {iv.b:g}]^2")
     header = f"{'n':>6}  {'estimate':>24}  {'diff':>10}  {'bound':>10}  {'table':>10}  {'budget':>10}"
@@ -284,30 +282,13 @@ def cmd_integrate(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     n_list = _parse_n_list(args.n_list)
     reference, rows = table_rows(args.fn, n_list)
-    columns = ("n", "rem_minus", "half_diff_minus", "rem_plus", "bound_plus")
-    if args.format == "csv":
-        print(",".join(columns))
-        for r in rows:
-            print(",".join([
-                str(r.n), _full(r.rem_minus), _full(r.half_diff_minus),
-                _full(r.rem_plus), _full(r.bound_plus),
-            ]))
-        return 0
-    if args.format == "json":
-        print(json.dumps({
+    if args.format != "text":
+        _emit_records(args.format, rows, header={
             "fn": args.fn,
             "reference_value": reference.value,
             "reference_abs_err": reference.abs_err,
             "reference_method": reference.method,
-        }))
-        for r in rows:
-            print(json.dumps({
-                "n": r.n,
-                "rem_minus": r.rem_minus,
-                "half_diff_minus": r.half_diff_minus,
-                "rem_plus": r.rem_plus,
-                "bound_plus": r.bound_plus,
-            }))
+        })
         return 0
     print(f"fn={args.fn}  reference={_full(reference.value)}  (abs err <= {reference.abs_err:.1e})")
     print(f"{'n':>6}  {'rem-':>12}  {'half-diff-':>12}  {'rem+':>12}  {'bound+':>12}")

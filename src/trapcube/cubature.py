@@ -128,21 +128,25 @@ class Enclosure:
             )
 
 
+#: The line each trace lies on: ``(axis, coordinate_of)``, where axis 0
+#: freezes x at ``coordinate_of(iv)`` (the trace is ``t -> f(c, t)``) and
+#: axis 1 freezes y (``t -> f(t, c)``).
+_TRACE_LINES: Dict[str, Tuple[int, Callable[[Interval], float]]] = {
+    "left": (0, lambda iv: iv.a),
+    "right": (0, lambda iv: iv.b),
+    "down": (1, lambda iv: iv.a),
+    "up": (1, lambda iv: iv.b),
+    "vertical-mid": (0, lambda iv: iv.midpoint),
+    "horizontal-mid": (1, lambda iv: iv.midpoint),
+}
+
+
 def _trace_function(f: Callable[[float, float], float], trace_id: str, iv: Interval):
-    a, b, m = iv.a, iv.b, iv.midpoint
-    if trace_id == "left":
-        return lambda t: f(a, t)
-    if trace_id == "right":
-        return lambda t: f(b, t)
-    if trace_id == "down":
-        return lambda t: f(t, a)
-    if trace_id == "up":
-        return lambda t: f(t, b)
-    if trace_id == "vertical-mid":
-        return lambda t: f(m, t)
-    if trace_id == "horizontal-mid":
-        return lambda t: f(t, m)
-    raise ValueError(f"unknown trace id {trace_id!r}")
+    axis, coordinate_of = _TRACE_LINES[trace_id]
+    c = coordinate_of(iv)
+    if axis == 0:
+        return lambda t: f(c, t)
+    return lambda t: f(t, c)
 
 
 #: Trace lines whose remainders correct ``C_n`` in each one-sided rule.

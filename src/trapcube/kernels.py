@@ -19,11 +19,12 @@ thresholds visible in closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .univariate import _SIGNS, Interval, apply, midpoint_rule, peano_kernel, trapezium_rule
+from .cubature import _BLOCK_POINTS
+from .univariate import _SIGNS, Interval, QuadratureRule, apply, midpoint_rule, peano_kernel, trapezium_rule
 
 __all__ = [
     "KernelSpec",
@@ -87,6 +88,24 @@ class ScanReport:
         return not self.violations
 
 
+def _k22(u_t, u_tau, t_t, t_tau):
+    """``U(t) T(tau) + U(tau) T(t) - T(t) T(tau)`` from the univariate
+    kernels U of the outer rule and T of the n-panel trapezium rule.
+
+    Takes floats or broadcasting arrays alike.
+    """
+    return u_t * t_tau + u_tau * t_t - t_t * t_tau
+
+
+def _k22_point(outer: QuadratureRule, iv: Interval, n: int, t: float, tau: float) -> float:
+    """``K22`` at ``(t, tau)``, with U the order-2 Peano kernel of ``outer``."""
+    trap = trapezium_rule(iv, n)
+    return _k22(
+        peano_kernel(outer, 2, t), peano_kernel(outer, 2, tau),
+        peano_kernel(trap, 2, t), peano_kernel(trap, 2, tau),
+    )
+
+
 def k22_s_minus(iv: Interval, n: int, t: float, tau: float) -> float:
     """Bivariate kernel of the mid-line rule at a point.
 
@@ -98,13 +117,7 @@ def k22_s_minus(iv: Interval, n: int, t: float, tau: float) -> float:
     Nonpositive throughout the square, which is why the rule's error
     constant is negative.
     """
-    mid = midpoint_rule(iv)
-    trap = trapezium_rule(iv, n)
-    mt = peano_kernel(mid, 2, t)
-    mtau = peano_kernel(mid, 2, tau)
-    tt = peano_kernel(trap, 2, t)
-    ttau = peano_kernel(trap, 2, tau)
-    return mt * ttau + mtau * tt - tt * ttau
+    return _k22_point(midpoint_rule(iv), iv, n, t, tau)
 
 
 def k22_s_plus(iv: Interval, n: int, t: float, tau: float) -> float:
@@ -114,13 +127,7 @@ def k22_s_plus(iv: Interval, n: int, t: float, tau: float) -> float:
     kernel replaced by the single-panel trapezium kernel
     ``(t-a)(t-b)/2``.  Nonnegative throughout the square.
     """
-    one = trapezium_rule(iv, 1)
-    trap = trapezium_rule(iv, n)
-    gt = peano_kernel(one, 2, t)
-    gtau = peano_kernel(one, 2, tau)
-    tt = peano_kernel(trap, 2, t)
-    ttau = peano_kernel(trap, 2, tau)
-    return gt * ttau + gtau * tt - tt * ttau
+    return _k22_point(trapezium_rule(iv, 1), iv, n, t, tau)
 
 
 def k22_s_plus_mixed(iv: Interval, n: int, t: float, tau: float) -> float:
@@ -186,29 +193,6 @@ def _k2_ends_grid(g: np.ndarray, iv: Interval) -> np.ndarray:
     return 0.5 * (g - iv.a) * (g - iv.b)
 
 
-def _row_evaluator(spec: KernelSpec, grid: np.ndarray) -> Callable[[int], np.ndarray]:
-    """Builds row(i) -> kernel values along grid row i (t fixed, tau varies)."""
-    iv, n, c = spec.iv, spec.n, spec.c
-    if spec.kind == "k22_s_minus":
-        U = _k2_mid_grid(grid, iv)
-        T = _k2_trap_grid(grid, iv, n)
-        return lambda i: U[i] * T + U * T[i] - T[i] * T
-    if spec.kind == "k22_s_plus":
-        U = _k2_ends_grid(grid, iv)
-        T = _k2_trap_grid(grid, iv, n)
-        return lambda i: U[i] * T + U * T[i] - T[i] * T
-    U = _k2_mid_grid(grid, iv) if spec.kind == "phi_minus" else _k2_ends_grid(grid, iv)
-    Tn = _k2_trap_grid(grid, iv, n)
-    T2n = _k2_trap_grid(grid, iv, 2 * n)
-
-    def row(i: int) -> np.ndarray:
-        fine = U[i] * T2n + U * T2n[i] - T2n[i] * T2n
-        coarse = U[i] * Tn + U * Tn[i] - Tn[i] * Tn
-        return (c + 1.0) * fine - c * coarse
-
-    return row
-
-
 def definiteness_scan(spec: KernelSpec, expected: str, resolution: int) -> ScanReport:
     """Check the expected sign of a kernel on a uniform grid.
 
@@ -227,23 +211,40 @@ def definiteness_scan(spec: KernelSpec, expected: str, resolution: int) -> ScanR
         raise ValueError(f"expected sign must be one of {_SIGNS}, got {expected!r}")
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
-    grid = np.linspace(spec.iv.a, spec.iv.b, resolution + 1)
-    row = _row_evaluator(spec, grid)
-    # Sign-breaking candidates in row-major order, before slack filtering.
-    candidates: List[Tuple[float, float, float]] = []
+    iv, n, c = spec.iv, spec.n, spec.c
+    size = resolution + 1
+    grid = np.linspace(iv.a, iv.b, size)
+    U = _k2_mid_grid(grid, iv) if spec.kind.endswith("minus") else _k2_ends_grid(grid, iv)
+    Tn = _k2_trap_grid(grid, iv, n)
+    T2n = _k2_trap_grid(grid, iv, 2 * n) if spec.kind.startswith("phi") else None
+
+    block = max(1, _BLOCK_POINTS // size)
+    # (flat grid index, value) arrays of the sign-breaking points of each
+    # block, before slack filtering, in row-major order.
+    hits = []
     scale = 0.0
-    for i in range(resolution + 1):
-        values = row(i)
+    for start in range(0, size, block):
+        # r picks the block's rows from the t-axis arrays (t down the
+        # block, tau along its rows).  One row takes an int, so its t
+        # factors are numpy scalars: broadcasting (1, 1) arrays made
+        # one-row scans (resolution 2048 and up) 6-9 % slower than a row loop.
+        r = start if block == 1 else (slice(start, start + block), None)
+        values = _k22(U[r], U, Tn[r], Tn)
+        if T2n is not None:
+            values = (c + 1.0) * _k22(U[r], U, T2n[r], T2n) - c * values
         scale = max(scale, float(np.max(np.abs(values))))
         bad = values < 0.0 if expected == "nonnegative" else values > 0.0
+        # Most blocks of a clean scan have no candidate; skipping
+        # np.flatnonzero there keeps one-row blocks as fast as a row loop.
         if bad.any():
-            t = float(grid[i])
-            for j in np.flatnonzero(bad):
-                candidates.append((t, float(grid[j]), float(values[j])))
-    slack = SCAN_SLACK_FACTOR * scale
-    violations = tuple(
-        (t, tau, v) for (t, tau, v) in candidates if abs(v) > slack
-    )
+            k = np.flatnonzero(bad)
+            hits.append((k + start * size, values.take(k)))
+    violations: Tuple[Tuple[float, float, float], ...] = ()
+    if hits:
+        k, v = (np.concatenate(parts) for parts in zip(*hits))
+        keep = np.abs(v) > SCAN_SLACK_FACTOR * scale
+        i, j = np.divmod(k[keep], size)
+        violations = tuple(zip(grid[i].tolist(), grid[j].tolist(), v[keep].tolist()))
     worst = max((abs(v) for (_, _, v) in violations), default=0.0)
     return ScanReport(
         grid_resolution=resolution,

@@ -97,6 +97,23 @@ def test_integrate_json_levels_and_summary(capsys):
     assert lines[1]["aposteriori_bound"] == pytest.approx(2 * lines[1]["table_bound"])
 
 
+def test_json_key_order_is_pinned(capsys):
+    _, out, _ = run(
+        capsys, "integrate", "--fn", "exp_xy", "--rule", "minus",
+        "--tol", "1e-4", "--format", "json",
+    )
+    lines = [list(json.loads(l)) for l in out.strip().splitlines()]
+    level_keys = [
+        "n", "estimate", "diff_to_previous", "aposteriori_bound", "table_bound", "trace_budget",
+    ]
+    assert lines[:-1] == [level_keys] * 4
+    assert lines[-1] == ["fn", "rule", "final_n", "final_value", "final_bound", "termination"]
+    _, out, _ = run(capsys, "table", "--fn", "exp_xy", "--n-list", "4,8", "--format", "json")
+    lines = [list(json.loads(l)) for l in out.strip().splitlines()]
+    assert lines[0] == ["fn", "reference_value", "reference_abs_err", "reference_method"]
+    assert lines[1:] == [["n", "rem_minus", "half_diff_minus", "rem_plus", "bound_plus"]] * 2
+
+
 def test_integrate_csv_round_trips(capsys):
     code, out, _ = run(
         capsys, "integrate", "--fn", "exp_xy", "--rule", "minus",

@@ -2,6 +2,7 @@
 polynomials."""
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,10 @@ from hypothesis import strategies as st
 from trapcube.kernels import (
     SCAN_SLACK_FACTOR,
     KernelSpec,
+    ScanReport,
+    _k2_ends_grid,
+    _k2_mid_grid,
+    _k2_trap_grid,
     definiteness_scan,
     k22_s_minus,
     k22_s_plus,
@@ -152,6 +157,81 @@ def test_scan_violations_are_row_major():
     assert not report.ok
     keys = [(t, tau) for (t, tau, _) in report.violations]
     assert keys == sorted(keys)
+
+
+def _row_loop_scan(spec, expected, resolution):
+    """Reference scan: one grid row at a time, kernel formula written out."""
+    iv, n, c = spec.iv, spec.n, spec.c
+    grid = np.linspace(iv.a, iv.b, resolution + 1)
+    U = _k2_mid_grid(grid, iv) if spec.kind.endswith("minus") else _k2_ends_grid(grid, iv)
+    Tn = _k2_trap_grid(grid, iv, n)
+    T2n = _k2_trap_grid(grid, iv, 2 * n)
+    candidates = []
+    scale = 0.0
+    for i in range(resolution + 1):
+        values = U[i] * Tn + U * Tn[i] - Tn[i] * Tn
+        if c is not None:
+            fine = U[i] * T2n + U * T2n[i] - T2n[i] * T2n
+            values = (c + 1.0) * fine - c * values
+        scale = max(scale, float(np.max(np.abs(values))))
+        bad = values < 0.0 if expected == "nonnegative" else values > 0.0
+        for j in np.flatnonzero(bad):
+            candidates.append((float(grid[i]), float(grid[j]), float(values[j])))
+    violations = tuple(p for p in candidates if abs(p[2]) > SCAN_SLACK_FACTOR * scale)
+    worst = max((abs(v) for (_, _, v) in violations), default=0.0)
+    return ScanReport(resolution, expected, violations, worst, scale)
+
+
+def _hex(report):
+    return (
+        report.grid_resolution,
+        report.expected_sign,
+        report.scale.hex(),
+        report.max_abs_violation.hex(),
+        [tuple(x.hex() for x in point) for point in report.violations],
+    )
+
+
+_SCAN_SPECS = [
+    ("k22_s_minus", None),
+    ("k22_s_plus", None),
+    ("phi_minus", 0.9),
+    ("phi_minus", 1.0),
+    ("phi_plus", 1.2),
+    ("phi_plus", 1.4),
+]
+
+
+@pytest.mark.parametrize("kind,c", _SCAN_SPECS)
+@pytest.mark.parametrize("expected", ["nonnegative", "nonpositive"])
+@pytest.mark.parametrize("iv,n,resolution", [
+    (UNIT, 4, 100),
+    (Interval(-1.0, 2.0), 3, 130),
+    (Interval(0.3, 0.7), 1, 7),
+])
+def test_block_scan_equals_row_loop(kind, c, expected, iv, n, resolution):
+    """Block-wise scans give the row loop's report bit for bit, whether
+    rows split evenly across blocks or not and whatever the sign."""
+    spec = KernelSpec(kind=kind, iv=iv, n=n, c=c)
+    report = definiteness_scan(spec, expected, resolution)
+    assert _hex(report) == _hex(_row_loop_scan(spec, expected, resolution))
+
+
+@pytest.mark.parametrize("kind,c,expected,n,resolution,count", [
+    ("phi_minus", 0.9, "nonnegative", 4, 512, 3352),
+    ("phi_plus", 1.3, "nonpositive", 2, 1000, 1860),
+    ("k22_s_minus", None, "nonpositive", 5, 4095, 0),
+    ("phi_plus", 1.4, "nonpositive", 4, 4095, 0),
+])
+def test_block_scan_equals_row_loop_across_blocks(kind, c, expected, n, resolution, count):
+    """Violations spread over many blocks, and grids of one row per
+    block, keep the row loop's report and order."""
+    spec = KernelSpec(kind=kind, iv=UNIT, n=n, c=c)
+    report = definiteness_scan(spec, expected, resolution)
+    assert _hex(report) == _hex(_row_loop_scan(spec, expected, resolution))
+    assert len(report.violations) == count
+    rows_per_block = max(1, 4096 // (resolution + 1))
+    assert count == 0 or len({t for (t, _, _) in report.violations}) > rows_per_block
 
 
 def test_scan_rejects_bad_arguments():
