@@ -21,14 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .cubature import (
-    _RULE_TRACES,
-    TRACE_IDS,
-    Integrand2D,
-    _combine,
-    _grid_pass,
-    _trace_integrals,
-)
+from .cubature import Integrand2D, _levels
 from .univariate import Interval
 
 __all__ = [
@@ -110,24 +103,24 @@ def _refine(
 ) -> RefinementReport:
     """The doubling loop behind :func:`refine` and :func:`refine_mean`.
 
-    ``rule`` is 's_minus', 's_plus' or 'mean'.  Each level costs one
-    pass over its grid, which serves both rules for 'mean'; the trace
-    integrals do not depend on the level and are computed once.
+    ``rule`` is 's_minus', 's_plus' or 'mean'.  Levels n0, 2*n0, ... up
+    to max_n come from :func:`cubature._levels`, so each costs one grid
+    pass (shared by both rules for 'mean') and the trace integrals are
+    computed once per solve.
     """
-    grid = _grid_pass(F, iv, n0)
-    traces = _trace_integrals(F, iv, TRACE_IDS if rule == "mean" else _RULE_TRACES[rule], trace_tol)
+    ns = [n0 << k for k in range((max_n // n0).bit_length())]
+    rules = ("s_plus", "s_minus") if rule == "mean" else (rule,)
     levels = []
-    while True:
+    termination = "max_n_reached"
+    for n, values in zip(ns, _levels(F, iv, rules, ns, trace_tol)):
         diff = bound = table = certified = None
         if rule == "mean":
-            lo = _combine("s_plus", F, iv, grid, traces)
-            hi = _combine("s_minus", F, iv, grid, traces)
+            lo, hi = values["s_plus"], values["s_minus"]
             estimate = 0.5 * (lo.value + hi.value)
-            budget = 0.5 * (lo.trace_err_budget + hi.trace_err_budget)
+            budget = max(lo.trace_err_budget, hi.trace_err_budget)
             bound = certified = 0.5 * abs(hi.value - lo.value) + budget
         else:
-            value = _combine(rule, F, iv, grid, traces)
-            estimate, budget = value.value, value.trace_err_budget
+            estimate, budget = values[rule].value, values[rule].trace_err_budget
         if levels:
             diff = estimate - levels[-1].estimate
             if rule != "mean":
@@ -136,7 +129,7 @@ def _refine(
                 certified = bound + budget
         levels.append(
             RefinementLevel(
-                n=grid.n,
+                n=n,
                 estimate=estimate,
                 diff_to_previous=diff,
                 aposteriori_bound=bound,
@@ -147,10 +140,6 @@ def _refine(
         if certified is not None and certified <= tol:
             termination = "tolerance_met"
             break
-        if 2 * grid.n > max_n:
-            termination = "max_n_reached"
-            break
-        grid = _grid_pass(F, iv, 2 * grid.n)
     return RefinementReport(
         rule=rule,
         levels=tuple(levels),
@@ -194,8 +183,10 @@ def refine_mean(
 
     At each level both one-sided rules run on the same mesh; the
     estimate is their mean and the certified bound is half their gap
-    plus the averaged trace budgets, valid already at the coarsest
-    level because the true integral lies between the two rule values.
+    plus the larger trace budget, i.e. half the width of
+    :func:`enclosure` at that level; it is valid already at the
+    coarsest level because the true integral lies between the two rule
+    values.
     """
     _validate_refine_args(F, "s_minus", n0, tol, max_n)
     return _refine(F, iv, "mean", tol, n0, max_n, trace_tol)

@@ -26,6 +26,7 @@ summary object where noted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -35,7 +36,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .adaptive import RefinementReport, _bound_factor, refine, refine_mean
-from .cubature import _TRACE_LINES, TRACE_IDS, Integrand2D, _combine, _grid_pass, _trace_integrals
+from .cubature import _TRACE_LINES, Integrand2D, _levels
 from .kernels import SCAN_SLACK_FACTOR, KernelSpec, ScanReport, definiteness_scan
 from .oracle import ReferenceValue, ref_exp_integral, ref_sin_integral
 from .univariate import ConvergenceError, Interval
@@ -189,13 +190,10 @@ def table_rows(fn_id: str, n_list: Sequence[int]) -> Tuple[ReferenceValue, List[
         if n < 1:
             raise ValueError(f"levels must be >= 1, got {n}")
     reference = _TABLE_REFS[fn_id]()
-    traces = _trace_integrals(F, iv, TRACE_IDS, 1e-12)
-    values: Dict[str, Dict[int, float]] = {"s_minus": {}, "s_plus": {}}
-    for n in sorted(set(n_list) | {2 * n for n in n_list}):
-        grid = _grid_pass(F, iv, n)
-        for rule, by_level in values.items():
-            by_level[n] = _combine(rule, F, iv, grid, traces).value
-    minus, plus = values["s_minus"], values["s_plus"]
+    ns = sorted(set(n_list) | {2 * n for n in n_list})
+    values = dict(zip(ns, _levels(F, iv, ("s_minus", "s_plus"), ns, 1e-12)))
+    minus = {n: level["s_minus"].value for n, level in values.items()}
+    plus = {n: level["s_plus"].value for n, level in values.items()}
     rows = [
         TableRow(
             n=n,
@@ -338,6 +336,7 @@ def _parse_n_list(raw: str) -> List[int]:
     return values
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trapcube",

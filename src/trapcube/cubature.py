@@ -300,24 +300,32 @@ def _combine(
             q = apply(trapezium_rule(iv, grid.n), _trace_function(F.f, tid, iv))
         remainders.append(value - q)
         budgets.append(budget)
-    if rule == "s_minus":
-        # Plain addition, not fsum: fsum turns -0.0 + -0.0 into +0.0.
-        w, correction, budget = iv.width, remainders[0] + remainders[1], budgets[0] + budgets[1]
-    else:
-        w, correction, budget = 0.5 * iv.width, math.fsum(remainders), math.fsum(budgets)
+    w = iv.width if rule == "s_minus" else 0.5 * iv.width
     return CubatureEstimate(
-        value=grid.product + w * correction,
+        value=grid.product + w * math.fsum(remainders),
         rule=rule,
         n=grid.n,
-        trace_err_budget=w * budget,
+        trace_err_budget=w * math.fsum(budgets),
     )
 
 
-def _one_rule(
-    rule: str, F: Integrand2D, iv: Interval, n: int, trace_tol: float
-) -> CubatureEstimate:
-    grid = _grid_pass(F, iv, n)
-    return _combine(rule, F, iv, grid, _trace_integrals(F, iv, _RULE_TRACES[rule], trace_tol))
+def _levels(
+    F: Integrand2D, iv: Interval, rules: Sequence[str], ns: Sequence[int], trace_tol: float
+) -> Iterator[Dict[str, CubatureEstimate]]:
+    """``{rule: estimate}`` for each level n in ns, in order.
+
+    Each level costs one grid pass, which serves every rule.  The trace
+    integrals do not depend on the level, so the traces the rules need
+    are integrated once, right after the first pass.  Levels are
+    evaluated lazily: a caller that stops early pays for no further pass.
+    """
+    traces = None
+    for n in ns:
+        grid = _grid_pass(F, iv, n)
+        if traces is None:
+            needed = [tid for tid in TRACE_IDS for r in rules if tid in _RULE_TRACES[r]]
+            traces = _trace_integrals(F, iv, needed, trace_tol)
+        yield {rule: _combine(rule, F, iv, grid, traces) for rule in rules}
 
 
 def product_trapezoid(F: Integrand2D, iv: Interval, n: int) -> CubatureEstimate:
@@ -352,7 +360,7 @@ def s_minus(
     an upper bound for the true integral (a lower bound when
     ``D22 f <= 0``).
     """
-    return _one_rule("s_minus", F, iv, n, trace_tol)
+    return next(_levels(F, iv, ("s_minus",), (n,), trace_tol))["s_minus"]
 
 
 def s_plus(
@@ -369,7 +377,7 @@ def s_plus(
     On integrands with ``D22 f >= 0`` the result is a lower bound for
     the true integral (an upper bound when ``D22 f <= 0``).
     """
-    return _one_rule("s_plus", F, iv, n, trace_tol)
+    return next(_levels(F, iv, ("s_plus",), (n,), trace_tol))["s_plus"]
 
 
 def error_constant(rule: str, iv: Interval, n: int) -> float:
@@ -410,11 +418,11 @@ def enclosure(
     """
     if F.d22_sign is None:
         raise ValueError("definiteness not declared: Integrand2D.d22_sign is required")
-    grid_plus = _grid_pass(F, iv, n_plus)
-    grid_minus = grid_plus if n_minus == n_plus else _grid_pass(F, iv, n_minus)
-    traces = _trace_integrals(F, iv, TRACE_IDS, trace_tol)
-    low = _combine("s_plus", F, iv, grid_plus, traces)
-    high = _combine("s_minus", F, iv, grid_minus, traces)
+    if n_plus == n_minus:
+        level = next(_levels(F, iv, ("s_plus", "s_minus"), (n_plus,), trace_tol))
+        low, high = level["s_plus"], level["s_minus"]
+    else:
+        low, high = s_plus(F, iv, n_plus, trace_tol), s_minus(F, iv, n_minus, trace_tol)
     if F.d22_sign == "nonpositive":
         low, high = high, low
     slack = max(low.trace_err_budget, high.trace_err_budget)

@@ -1,4 +1,5 @@
 """Tests for the doubling driver and its certified stopping bounds."""
+import dataclasses
 import math
 
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 import trapcube.cubature as cubature
 from trapcube.adaptive import definite_pair_bounds, refine, refine_mean
-from trapcube.cubature import Integrand2D, s_minus, s_plus
+from trapcube.cli import BUILTINS
+from trapcube.cubature import Integrand2D, enclosure, s_minus, s_plus
 from trapcube.oracle import ref_exp_integral, ref_sin_integral
 from trapcube.univariate import Interval
 
@@ -122,6 +124,22 @@ def test_refine_mean_max_n_reached():
     report = refine_mean(EXP, UNIT, tol=1e-15, max_n=8)
     assert report.termination == "max_n_reached"
     assert report.levels[-1].n == 8
+
+
+def test_refine_mean_bound_is_half_the_enclosure_width():
+    """With exact edge traces and Romberg mid-lines the two rules carry
+    unequal trace budgets; the mean's bound adds the larger one, which is
+    the enclosure's slack."""
+    F = BUILTINS["exp_xy"].integrand
+    edges = ("left", "right", "down", "up")
+    F = dataclasses.replace(F, exact_traces={tid: F.exact_traces[tid] for tid in edges})
+    report = refine_mean(F, UNIT, tol=1e-6, max_n=64, trace_tol=1e-4)
+    assert [lv.n for lv in report.levels] == [4, 8, 16, 32, 64]
+    for lv in report.levels:
+        enc = enclosure(F, UNIT, lv.n, lv.n, 1e-4)
+        assert enc.slack > 0.0
+        assert lv.trace_budget == enc.slack
+        assert lv.aposteriori_bound == pytest.approx(0.5 * (enc.upper - enc.lower), rel=1e-12)
 
 
 def test_refine_mean_beats_both_one_sided_rules_here():

@@ -1,11 +1,12 @@
 """End-to-end tests of the command-line surface via main(argv)."""
+import gc
 import json
 import math
 
 import pytest
 
 from trapcube.cli import BUILTINS, main, table_rows
-from trapcube.cubature import TRACE_IDS
+from trapcube.cubature import TRACE_IDS, s_minus, s_plus
 from trapcube.univariate import Interval, trace_integral
 
 
@@ -213,3 +214,40 @@ def test_scan_usage_errors(capsys):
 def test_table_rows_rejects_non_table_builtins():
     with pytest.raises(ValueError):
         table_rows("bilinear_xy", [4])
+
+
+@pytest.mark.parametrize("fn_id", ["exp_xy", "sin_xy"])
+def test_table_rows_on_odd_levels_equal_the_rules(fn_id):
+    """Odd levels put the mid-lines off the grid; the table still holds
+    exactly the values s_minus and s_plus return."""
+    F, unit = BUILTINS[fn_id].integrand, Interval(0.0, 1.0)
+    reference, rows = table_rows(fn_id, [3, 5])
+    for row in rows:
+        n = row.n
+        minus = [s_minus(F, unit, k).value for k in (n, 2 * n)]
+        plus = [s_plus(F, unit, k).value for k in (n, 2 * n)]
+        assert row.rem_minus == reference.value - minus[0]
+        assert row.half_diff_minus == 0.5 * abs(minus[1] - minus[0])
+        assert row.rem_plus == reference.value - plus[0]
+        factor = (4.0 * n - 1.0) / (4.0 * n - 3.0)
+        assert row.bound_plus == factor * abs(plus[1] - plus[0])
+
+
+def test_repeated_commands_leave_no_cyclic_garbage(capsys):
+    """After a warm-up, integrate, table and scan create no reference
+    cycles, so repeated calls of main() give the collector nothing to do."""
+    commands = (
+        ("integrate", "--fn", "exp_xy", "--rule", "mean", "--tol", "1e-4"),
+        ("table", "--fn", "sin_xy", "--n-list", "4,8"),
+        ("scan", "--kernel", "k22-minus", "--n", "2"),
+    )
+    for argv in commands:
+        run(capsys, *argv)
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in commands:
+            assert run(capsys, *argv)[0] == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,6 +1,7 @@
 """Tests for the product rule, the two one-sided rules, and the bracket."""
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -145,6 +146,14 @@ def test_trace_budget_zero_with_exact_traces():
     assert with_exact.trace_err_budget == 0.0
     assert with_romberg.trace_err_budget > 0.0
     assert abs(with_exact.value - with_romberg.value) < 1e-12
+
+
+def test_rule_values_are_python_floats_with_romberg_traces():
+    """A vectorized integrand's Romberg traces are numpy scalars; the
+    rule values are still plain floats."""
+    F = Integrand2D(f=lambda x, y: np.exp(x * y), d22_sign="nonnegative", vectorized=True)
+    assert type(s_minus(F, UNIT, 4).value) is float
+    assert type(s_plus(F, UNIT, 4).value) is float
 
 
 def test_trace_budget_accounting():
