@@ -48,16 +48,39 @@ __all__ = ["BuiltinIntegrand", "BUILTINS", "table_rows", "main"]
 class BuiltinIntegrand:
     """A named integrand with prewired derivative sign and exact traces.
 
-    The declared mixed-derivative sign is guaranteed on squares in the
-    first quadrant of moderate size (the defaults [0, 1]^2 in
-    particular); the trace integrals are closed forms valid on any
-    square.  The integrands are numpy expressions declared vectorized,
-    so the grid pass evaluates them on blocks of rows.
+    The declared mixed-derivative sign is proven on the squares
+    [a, b]^2 that ``_PROVEN_SQUARES`` names: exp_xy where
+    a*b >= -0.5857, sin_xy where a*b >= 0 and max(a*a, b*b) <= 1.414
+    (the default [0, 1]^2 among them), poly_x2y2 and bilinear_xy on any
+    square.  ``trapcube integrate`` refuses other squares; library calls
+    trust the declaration wherever they are made.  The trace integrals
+    are closed forms valid on any square.  The integrands are numpy
+    expressions declared vectorized, so the grid pass evaluates them on
+    blocks of rows.
     """
 
     id: str
     description: str
     integrand: Integrand2D
+
+
+#: Squares [a, b]^2 on which each built-in's declared D22 sign is proven,
+#: as ``(test(a, b), statement)``.  Each built-in is g(u) with u = x y, so
+#: D22 = u^2 g''''(u) + 4u g'''(u) + 2 g''(u), and u spans
+#: [min(a*b, a*a, b*b), max(a*a, b*b)] on the square.
+_PROVEN_SQUARES: Dict[str, Tuple[Callable[[float, float], bool], str]] = {
+    # e^u (u^2 + 4u + 2) >= 0 for u >= sqrt(2) - 2 = -0.58579, and u >= min(a*b, 0).
+    "exp_xy": (lambda a, b: a * b >= -0.5857, "a*b >= -0.5857"),
+    # (u^2 - 2) sin u and -4u cos u are both <= 0 for u in [0, sqrt(2)], as sqrt(2) < pi/2.
+    "sin_xy": (
+        lambda a, b: a * b >= 0 and max(a * a, b * b) <= 1.414,
+        "a*b >= 0 and max(a*a, b*b) <= 1.414",
+    ),
+    # D22 is the constant 4.
+    "poly_x2y2": (lambda a, b: True, "any square"),
+    # D22 is identically 0.
+    "bilinear_xy": (lambda a, b: True, "any square"),
+}
 
 
 def _traces(line_integral: Callable[[float, Interval], float]) -> Dict[str, Callable[[Interval], float]]:
@@ -101,7 +124,7 @@ def _bilinear_line(c: float, iv: Interval) -> float:
 BUILTINS: Dict[str, BuiltinIntegrand] = {
     "exp_xy": BuiltinIntegrand(
         id="exp_xy",
-        description="e^(x y); mixed derivative nonnegative where x y >= 0",
+        description="e^(x y); mixed derivative nonnegative on [a, b]^2 with a*b >= -0.5857",
         integrand=Integrand2D(
             f=lambda x, y: np.exp(x * y),
             d22_sign="nonnegative",
@@ -111,7 +134,10 @@ BUILTINS: Dict[str, BuiltinIntegrand] = {
     ),
     "sin_xy": BuiltinIntegrand(
         id="sin_xy",
-        description="sin(x y); mixed derivative nonpositive on the unit square",
+        description=(
+            "sin(x y); mixed derivative nonpositive on [a, b]^2"
+            " with a*b >= 0 and max(a*a, b*b) <= 1.414"
+        ),
         integrand=Integrand2D(
             f=lambda x, y: np.sin(x * y),
             d22_sign="nonpositive",
@@ -121,7 +147,7 @@ BUILTINS: Dict[str, BuiltinIntegrand] = {
     ),
     "poly_x2y2": BuiltinIntegrand(
         id="poly_x2y2",
-        description="x^2 y^2; mixed derivative constant 4",
+        description="x^2 y^2; mixed derivative constant 4 on any square",
         integrand=Integrand2D(
             f=lambda x, y: (x * x) * (y * y),
             d22_sign="nonnegative",
@@ -131,7 +157,7 @@ BUILTINS: Dict[str, BuiltinIntegrand] = {
     ),
     "bilinear_xy": BuiltinIntegrand(
         id="bilinear_xy",
-        description="x y; mixed derivative identically zero",
+        description="x y; mixed derivative identically zero on any square",
         integrand=Integrand2D(
             f=lambda x, y: x * y,
             d22_sign="nonnegative",
@@ -268,6 +294,12 @@ def _emit_integrate(report: RefinementReport, fn_id: str, iv: Interval, fmt: str
 def cmd_integrate(args: argparse.Namespace) -> int:
     fn = BUILTINS[args.fn]
     iv = Interval(args.a, args.b)
+    proven, statement = _PROVEN_SQUARES[args.fn]
+    if not proven(iv.a, iv.b):
+        raise ValueError(
+            f"the {fn.integrand.d22_sign} mixed derivative of {args.fn} is proven only on"
+            f" squares [a, b]^2 with {statement}; got [{iv.a:g}, {iv.b:g}]^2"
+        )
     if args.rule == "mean":
         report = refine_mean(fn.integrand, iv, tol=args.tol, n0=args.n0, max_n=args.max_n)
     else:

@@ -170,13 +170,101 @@ class _GridPass(NamedTuple):
 
 
 #: Points per block when a vectorized integrand is evaluated on the grid.
-_BLOCK_POINTS = 4096
+_BLOCK_POINTS = 16384
+
+#: Blocks of fewer points are summed row by row with ``math.fsum``: there
+#: the thirty-odd numpy calls of :func:`_row_fsums` cost more than they save.
+_FSUM_BELOW = 1024
+
+
+def _row_fsums(T: np.ndarray) -> List[float]:
+    """``math.fsum`` of every row of the finite 2-D float array T, bit for bit.
+
+    Error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
+    summation, part I: faithful rounding", SIAM J. Sci. Comput. 31(1),
+    2008) computes a candidate per row with a few numpy calls and proves
+    it correctly rounded; a row the proof does not cover is summed by
+    ``math.fsum``.  Let u = 2^-53, m the row length (m < 2^25), p a term.
+
+    1. sigma = 2^K, K = the frexp exponent of max|p| plus
+       ceil(log2(m+2)), so |p| <= sigma/(m+2) <= sigma/4.  Rows with K
+       outside [-960, 1023] go to fsum, decided before any arithmetic:
+       above, sigma + p could overflow; below, step 3 would not be exact.
+       fl(sigma+p) lies in [sigma/2, 2 sigma], where floats are multiples
+       of u*sigma, so q = fl(sigma+p) - sigma is exact (Sterbenz): it is p
+       rounded to a multiple of g = u*sigma (p < 0) or 2u*sigma (p > 0),
+       and |q - p| <= g/2.  Round to nearest even gives q = 0 for
+       |p| <= g/2, and otherwise q of p's sign with |q|/2 <= |p| <= 2|q|,
+       so r = p - q is exact (Sterbenz again) and |r| <= u*sigma.
+    2. Every |q| <= |p| + u*sigma, so each partial sum of the q, in any
+       order, is a multiple of u*sigma below m*(sigma/(m+2) + u*sigma) <
+       sigma in magnitude, hence a float: tau = fl(sum q) is exact in the
+       order numpy uses.  t = fl(sum r) has |t - sum r| <=
+       gamma_(m-1) * sum|r| <= 2 m^2 u^2 sigma, which is below
+       E = 4 m^2 u^2 sigma (Higham, ch. 4, for any order; a sum that
+       underflows is exact).
+    3. res = fl(tau + t), and delta = tau + t - res exactly (TwoSum).  The
+       row sum is S = res + delta + e with |e| <= E, and fsum returns S
+       rounded to nearest.  Let h be half the gap between res and its
+       neighbour toward zero, the smaller of its two gaps; computed, h is
+       exact for |res| > 2^-1021 and 0 otherwise.  Then fl(|delta| + 2E) < h
+       (rounding is monotone, and 2E = 8 m^2 u^2 sigma is exact for
+       K >= -960) puts S strictly less than half a gap from res on either
+       side, so S rounds to res.
+    4. Undecided rows go to fsum.  Among them is every row with
+       |res| <= 2^-1021 (h = 0), so fsum sets the sign of a zero sum, and
+       every row with K out of range, which is zeroed before the
+       arithmetic (fsum then raises its own OverflowError where the sum
+       overflows).
+    """
+    m = T.shape[1]
+    if m >= 1 << 25:
+        return [math.fsum(row) for row in T.tolist()]
+    K = np.frexp(np.max(np.abs(T), axis=1))[1] + (m + 1).bit_length()
+    out = (K < -960) | (K > 1023)
+    P = T
+    if out.any():
+        P = np.where(out[:, None], 0.0, T)
+        K[out] = 0
+    sigma = np.ldexp(1.0, K)
+    Q = P + sigma[:, None]
+    Q -= sigma[:, None]
+    tau = Q.sum(axis=1)
+    np.subtract(P, Q, out=Q)
+    t = Q.sum(axis=1)
+    res = tau + t
+    z = res - tau
+    delta = (tau - (res - z)) + (t - z)
+    h = np.abs(res - np.nextafter(res, 0.0)) * 0.5
+    decided = np.abs(delta) + sigma * (8.0 * m * m * 2.0**-106) < h
+    sums = res.tolist()
+    for i in np.flatnonzero(~decided).tolist():
+        sums[i] = math.fsum(T[i].tolist())
+    return sums
+
+
+#: Row sums, then the down, up and horizontal mid-line trace terms, one
+#: per row (the last empty when the mid-line is not a grid line).
+_Rows = Tuple[List[float], List[float], List[float], List[float]]
 
 
 def _scalar_rows(
-    f: Callable[[float, float], float], nodes: Tuple[float, ...], weights: Tuple[float, ...]
-) -> Iterator[Tuple[float, List[float]]]:
-    """``(wx, terms)`` per grid row, with one call of f per point."""
+    f: Callable[[float, float], float],
+    nodes: Tuple[float, ...],
+    weights: Tuple[float, ...],
+    mid: Optional[int],
+) -> _Rows:
+    """Row sums and column trace terms, with one call of f per point.
+
+    Row i's sum is the ``math.fsum`` of its terms ``wy * v``, and its term
+    of the trace along column c is ``terms[c] * (wx / weights[c])``.
+    """
+    n = len(nodes) - 1
+    w_end = weights[0]
+    sums: List[float] = []
+    down: List[float] = []
+    up: List[float] = []
+    horizontal: List[float] = []
     for x, wx in zip(nodes, weights):
         terms = []
         for y, wy in zip(nodes, weights):
@@ -186,23 +274,39 @@ def _scalar_rows(
                     f"integrand returned non-finite value {v!r} at grid point ({x!r}, {y!r})"
                 )
             terms.append(wy * v)
-        yield wx, terms
+        sums.append(math.fsum(terms))
+        to_end = wx / w_end
+        down.append(terms[0] * to_end)
+        up.append(terms[n] * to_end)
+        if mid is not None:
+            horizontal.append(terms[mid] * (wx / weights[mid]))
+    return sums, down, up, horizontal
 
 
 def _array_rows(
-    f: Callable, nodes: Tuple[float, ...], weights: Tuple[float, ...]
-) -> Iterator[Tuple[float, Sequence[float]]]:
-    """``(wx, terms)`` per grid row, with one call of f per block of rows.
+    f: Callable,
+    nodes: Tuple[float, ...],
+    weights: Tuple[float, ...],
+    mid: Optional[int],
+) -> _Rows:
+    """:func:`_scalar_rows`' results, with one call of f per block of rows.
 
-    ``terms`` holds the same IEEE products ``wy * v`` the scalar path
-    forms, so equal values give equal rows.  It is a memoryview of the
-    block, which yields Python floats without building a list of them.
+    A block holds the same IEEE products ``wy * v`` the scalar path
+    forms, and its column terms are the same products of the same
+    operands, so equal values give equal results.  Rows are summed by
+    :func:`_row_fsums`, which returns ``math.fsum``'s values, or by fsum
+    itself in blocks too small to pay for numpy's calls.
     """
     size = len(nodes)
+    n = size - 1
     X = np.array(nodes).reshape(size, 1)
     Y = X.reshape(1, size)
     W = np.array(weights)
     rows = max(1, _BLOCK_POINTS // size)
+    sums: List[float] = []
+    down: List[float] = []
+    up: List[float] = []
+    horizontal: List[float] = []
     for start in range(0, size, rows):
         Xb = X[start : start + rows]
         shape = (len(Xb), size)
@@ -224,35 +328,39 @@ def _array_rows(
                 f"integrand returned non-finite value {float(V[i, j])!r} "
                 f"at grid point ({nodes[start + i]!r}, {nodes[j]!r})"
             )
-        for i, terms in enumerate(V * W, start):
-            yield weights[i], memoryview(terms)
+        T = V * W
+        if T.size < _FSUM_BELOW:
+            sums += [math.fsum(row) for row in T.tolist()]
+        else:
+            sums += _row_fsums(T)
+        Wx = W[start : start + rows]
+        to_end = Wx / weights[0]
+        down += (T[:, 0] * to_end).tolist()
+        up += (T[:, n] * to_end).tolist()
+        if mid is not None:
+            horizontal += (T[:, mid] * (Wx / weights[mid])).tolist()
+    return sums, down, up, horizontal
 
 
 def _grid_pass(F: Integrand2D, iv: Interval, n: int) -> _GridPass:
     """Evaluate f once on the grid: ``C_n`` and the trace sums on grid lines.
 
-    Rows are summed with ``math.fsum`` and combined in fixed index
-    order.  The trace along row i is ``fsum`` of that row's terms, and a
-    column's trace term in row i is ``terms[c] * (wx / weights[c])``,
-    where the weight ratio is exactly 1, 2 or 1/2; so every sum equals
-    the one :func:`apply` computes on the trace bit for bit.  A
-    vectorized integrand feeds the same reductions, so it gives the
-    scalar path's result whenever its values are equal.
+    Each row's terms ``wy * v`` are summed to ``math.fsum``'s value, and
+    the row sums are combined with ``fsum`` in index order.  The trace
+    along row i is that row's sum, and a column's trace term in row i is
+    ``terms[c] * (wx / weights[c])``, where the weight ratio is exactly
+    1, 2 or 1/2; each column is summed with one ``fsum``.  So every sum
+    equals the one :func:`apply` computes on the trace bit for bit.  The
+    scalar path calls ``math.fsum`` per row; a vectorized integrand's
+    blocks are summed by :func:`_row_fsums`, which returns the same
+    values, so it gives the scalar path's result whenever its values are
+    equal.
     """
     rule = trapezium_rule(iv, n)
     nodes, weights = rule.nodes, rule.weights
     mid = n // 2 if n % 2 == 0 and nodes[n // 2] == iv.midpoint else None
-    w_end = weights[0]
-    row_fsums = []
-    down, up, horizontal = [], [], []
     rows = _array_rows if F.vectorized else _scalar_rows
-    for wx, terms in rows(F.f, nodes, weights):
-        row_fsums.append(math.fsum(terms))
-        to_end = wx / w_end
-        down.append(terms[0] * to_end)
-        up.append(terms[n] * to_end)
-        if mid is not None:
-            horizontal.append(terms[mid] * (wx / weights[mid]))
+    row_fsums, down, up, horizontal = rows(F.f, nodes, weights, mid)
     sums = {
         "left": row_fsums[0],
         "right": row_fsums[n],

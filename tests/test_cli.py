@@ -3,10 +3,12 @@ import gc
 import json
 import math
 
+import numpy as np
 import pytest
 
 from trapcube.cli import BUILTINS, main, table_rows
 from trapcube.cubature import TRACE_IDS, s_minus, s_plus
+from trapcube.oracle import brute_force_integral
 from trapcube.univariate import Interval, trace_integral
 
 
@@ -132,6 +134,35 @@ def test_integrate_usage_errors(capsys):
     assert run(capsys, "integrate", "--fn", "exp_xy", "--rule", "minus", "--tol", "-1")[0] == 2
     assert run(capsys, "integrate", "--fn", "exp_xy", "--rule", "minus", "--tol", "1e-4", "--a", "2", "--b", "1")[0] == 2
     assert run(capsys, "integrate", "--fn", "exp_xy", "--rule", "minus", "--tol", "1e-4", "--n0", "8", "--max-n", "8")[0] == 2
+
+
+@pytest.mark.parametrize("fn_id,a,b,proven", [
+    ("sin_xy", "0", "3", "a*b >= 0 and max(a*a, b*b) <= 1.414"),
+    ("exp_xy", "-2", "2", "a*b >= -0.5857"),
+])
+def test_integrate_refuses_squares_where_the_sign_is_not_proven(capsys, fn_id, a, b, proven):
+    """D22 changes sign on these squares: sin_xy on [0, 3]^2 used to be
+    certified as 2.72009 +- 5.8e-4, where the integral is 2.719093."""
+    code, out, err = run(
+        capsys, "integrate", "--fn", fn_id, "--rule", "mean", "--tol", "1e-3",
+        f"--a={a}", f"--b={b}",
+    )
+    assert code == 2
+    assert out == ""
+    assert f"proven only on squares [a, b]^2 with {proven}" in err
+
+
+@pytest.mark.parametrize("a,b", [("0", "1"), ("0", "1.18"), ("-1.18", "-0.5")])
+def test_integrate_accepts_squares_where_the_sin_sign_is_proven(capsys, a, b):
+    code, out, _ = run(
+        capsys, "integrate", "--fn", "sin_xy", "--rule", "mean", "--tol", "1e-6",
+        f"--a={a}", f"--b={b}", "--format", "json",
+    )
+    assert code == 0
+    summary = json.loads(out.strip().splitlines()[-1])
+    assert summary["termination"] == "tolerance_met"
+    truth = brute_force_integral(lambda x, y: np.sin(x * y), Interval(float(a), float(b)), 7)
+    assert abs(summary["final_value"] - truth) <= summary["final_bound"]
 
 
 def test_table_text_shows_four_significant_digits(capsys):

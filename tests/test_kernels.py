@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trapcube.cubature import _BLOCK_POINTS
 from trapcube.kernels import (
     SCAN_SLACK_FACTOR,
     KernelSpec,
@@ -210,11 +211,15 @@ _SCAN_SPECS = [
     (Interval(0.3, 0.7), 1, 7),
 ])
 def test_block_scan_equals_row_loop(kind, c, expected, iv, n, resolution):
-    """Block-wise scans give the row loop's report bit for bit, whether
-    rows split evenly across blocks or not and whatever the sign."""
+    """Block-wise scans of small grids give the row loop's report bit for
+    bit whatever the sign; grids split across blocks are tested below."""
     spec = KernelSpec(kind=kind, iv=iv, n=n, c=c)
     report = definiteness_scan(spec, expected, resolution)
     assert _hex(report) == _hex(_row_loop_scan(spec, expected, resolution))
+
+
+#: A grid row of more than half a block's points: every block is one row.
+ONE_ROW_RESOLUTION = _BLOCK_POINTS // 2
 
 
 @pytest.mark.parametrize("kind,c,expected,n,resolution,count", [
@@ -222,15 +227,18 @@ def test_block_scan_equals_row_loop(kind, c, expected, iv, n, resolution):
     ("phi_plus", 1.3, "nonpositive", 2, 1000, 1860),
     ("k22_s_minus", None, "nonpositive", 5, 4095, 0),
     ("phi_plus", 1.4, "nonpositive", 4, 4095, 0),
+    ("k22_s_minus", None, "nonpositive", 5, ONE_ROW_RESOLUTION, 0),
+    ("phi_plus", 1.4, "nonpositive", 4, ONE_ROW_RESOLUTION, 0),
 ])
 def test_block_scan_equals_row_loop_across_blocks(kind, c, expected, n, resolution, count):
     """Violations spread over many blocks, and grids of one row per
     block, keep the row loop's report and order."""
+    rows_per_block = max(1, _BLOCK_POINTS // (resolution + 1))
+    assert resolution + 1 > rows_per_block
     spec = KernelSpec(kind=kind, iv=UNIT, n=n, c=c)
     report = definiteness_scan(spec, expected, resolution)
     assert _hex(report) == _hex(_row_loop_scan(spec, expected, resolution))
     assert len(report.violations) == count
-    rows_per_block = max(1, 4096 // (resolution + 1))
     assert count == 0 or len({t for (t, _, _) in report.violations}) > rows_per_block
 
 

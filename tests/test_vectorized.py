@@ -9,7 +9,14 @@ import pytest
 
 from trapcube.adaptive import refine, refine_mean
 from trapcube.cli import BUILTINS
-from trapcube.cubature import Integrand2D, enclosure, product_trapezoid, s_minus, s_plus
+from trapcube.cubature import (
+    _BLOCK_POINTS,
+    Integrand2D,
+    enclosure,
+    product_trapezoid,
+    s_minus,
+    s_plus,
+)
 from trapcube.univariate import Interval, trapezium_rule
 
 UNIT = Interval(0.0, 1.0)
@@ -74,8 +81,8 @@ def _results(F, iv, n):
 @pytest.mark.parametrize("n", [3, 5, 7, 100])
 @pytest.mark.parametrize("fn_id", sorted(BUILTINS))
 def test_vectorized_builtin_agrees_with_scalar_math_copy(fn_id, n):
-    """Odd n puts the mid-lines off the grid; n=100 (101 rows of 101
-    points) and the refinement levels split rows unevenly across blocks."""
+    """Odd n puts the mid-lines off the grid; the refinement levels
+    from n=100 split rows unevenly across blocks."""
     vector = BUILTINS[fn_id].integrand
     assert vector.vectorized
     scalar = dataclasses.replace(vector, f=MATH_FORMS[fn_id], vectorized=False)
@@ -103,9 +110,12 @@ def test_non_finite_value_gives_the_scalar_message():
 
 
 def test_non_finite_value_is_located_in_a_later_block():
-    """n=100 puts 40 rows in a block, so row 75 is in the second one."""
-    nodes = trapezium_rule(UNIT, 100).nodes
-    cx, cy = nodes[75], nodes[30]
+    """The bad point is in the middle of the second of several blocks."""
+    n = 2 * math.isqrt(_BLOCK_POINTS)
+    rows = _BLOCK_POINTS // (n + 1)
+    assert 2 * rows < n + 1
+    nodes = trapezium_rule(UNIT, n).nodes
+    cx, cy = nodes[rows + rows // 2], nodes[30]
     vector = Integrand2D(
         f=lambda x, y: np.where((x == cx) & (y == cy), np.nan, x * y), vectorized=True
     )
@@ -113,7 +123,7 @@ def test_non_finite_value_is_located_in_a_later_block():
     messages = []
     for F in (vector, scalar):
         with pytest.raises(ValueError) as info:
-            s_plus(F, UNIT, 100)
+            s_plus(F, UNIT, n)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert f"({cx!r}, {cy!r})" in messages[0]
