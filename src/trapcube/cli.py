@@ -30,10 +30,8 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .adaptive import RefinementReport, _bound_factor, refine, refine_mean
 from .cubature import _TRACE_LINES, Integrand2D, _levels
@@ -121,12 +119,27 @@ def _bilinear_line(c: float, iv: Interval) -> float:
     return c * (iv.b**2 - iv.a**2) / 2.0
 
 
+# numpy is imported on the first evaluation, so that the parser and the
+# scalar library calls never load it.
+
+def _exp_xy(x, y):
+    import numpy as np
+
+    return np.exp(x * y)
+
+
+def _sin_xy(x, y):
+    import numpy as np
+
+    return np.sin(x * y)
+
+
 BUILTINS: Dict[str, BuiltinIntegrand] = {
     "exp_xy": BuiltinIntegrand(
         id="exp_xy",
         description="e^(x y); mixed derivative nonnegative on [a, b]^2 with a*b >= -0.5857",
         integrand=Integrand2D(
-            f=lambda x, y: np.exp(x * y),
+            f=_exp_xy,
             d22_sign="nonnegative",
             exact_traces=_traces(_exp_line),
             vectorized=True,
@@ -139,7 +152,7 @@ BUILTINS: Dict[str, BuiltinIntegrand] = {
             " with a*b >= 0 and max(a*a, b*b) <= 1.414"
         ),
         integrand=Integrand2D(
-            f=lambda x, y: np.sin(x * y),
+            f=_sin_xy,
             d22_sign="nonpositive",
             exact_traces=_traces(_sin_line),
             vectorized=True,
@@ -249,8 +262,8 @@ def _emit_records(
     record; json prints ``header``, one object per record, then
     ``summary``, each when given.
     """
+    names = [f.name for f in fields(records[0])]
     if fmt == "csv":
-        names = [f.name for f in fields(records[0])]
         print(",".join(names))
         for record in records:
             print(",".join(_cell(getattr(record, name)) for name in names))
@@ -258,7 +271,7 @@ def _emit_records(
     if header is not None:
         print(json.dumps(header))
     for record in records:
-        print(json.dumps(asdict(record)))
+        print(json.dumps({name: getattr(record, name) for name in names}))
     if summary is not None:
         print(json.dumps(summary))
 

@@ -21,11 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .univariate import _SIGNS, Interval, apply, trace_integral, trapezium_rule
+
+# numpy is imported inside the functions that build arrays, so that
+# scalar integrands never load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "TRACE_IDS",
@@ -177,9 +180,28 @@ _BLOCK_POINTS = 16384
 _FSUM_BELOW = 1024
 
 
-def _row_fsums(T: np.ndarray) -> List[float]:
-    """``math.fsum`` of every row of the finite 2-D float array T, bit for bit.
+def _hold_heap(np) -> None:
+    """Keep freed block arrays in the process heap under glibc's malloc.
 
+    glibc gives the top of its heap back to the system whenever more than
+    its trim threshold, 128 KiB at start, is free there, and the next
+    allocations fault those pages in again.  The arrays of a block of
+    ``_BLOCK_POINTS`` floats take up to 128 KiB each and are all freed
+    when a grid pass or a scan ends, so each call paid about a hundred
+    page faults, which made a pass at n = 128 take 1.7 times as long on a
+    2-vCPU VM.  Freeing one mapped 1 MiB array makes glibc raise its mmap
+    threshold to 1 MiB and its trim threshold to 2 MiB, the state an early
+    ``import numpy`` usually leaves it in.  This changes the thresholds for
+    the whole process, not only for trapcube's arrays, as that import
+    does.  Other allocators see one untouched allocation.
+    """
+    np.empty(1 << 17)
+
+
+def _row_fsums(T: np.ndarray) -> List[float]:
+    """``math.fsum`` of every row of the 2-D float array T, bit for bit.
+
+    T holds finite values, or infinities where a product overflowed.
     Error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
     summation, part I: faithful rounding", SIAM J. Sci. Comput. 31(1),
     2008) computes a candidate per row with a few numpy calls and proves
@@ -187,15 +209,18 @@ def _row_fsums(T: np.ndarray) -> List[float]:
     ``math.fsum``.  Let u = 2^-53, m the row length (m < 2^25), p a term.
 
     1. sigma = 2^K, K = the frexp exponent of max|p| plus
-       ceil(log2(m+2)), so |p| <= sigma/(m+2) <= sigma/4.  Rows with K
-       outside [-960, 1023] go to fsum, decided before any arithmetic:
-       above, sigma + p could overflow; below, step 3 would not be exact.
-       fl(sigma+p) lies in [sigma/2, 2 sigma], where floats are multiples
-       of u*sigma, so q = fl(sigma+p) - sigma is exact (Sterbenz): it is p
-       rounded to a multiple of g = u*sigma (p < 0) or 2u*sigma (p > 0),
-       and |q - p| <= g/2.  Round to nearest even gives q = 0 for
-       |p| <= g/2, and otherwise q of p's sign with |q|/2 <= |p| <= 2|q|,
-       so r = p - q is exact (Sterbenz again) and |r| <= u*sigma.
+       c = ceil(log2(m+2)), so |p| <= sigma/(m+2) <= sigma/4.  Rows with
+       K outside [-960, 1023], that is with max|p| outside
+       [2^(-961-c), 2^(1023-c)), go to fsum, decided before any
+       arithmetic: above, sigma + p could overflow; below, step 3 would
+       not be exact.  All-zero rows and rows with an infinity are among
+       them.  fl(sigma+p) lies in [sigma/2, 2 sigma], where floats are
+       multiples of u*sigma, so q = fl(sigma+p) - sigma is exact
+       (Sterbenz): it is p rounded to a multiple of g = u*sigma (p < 0)
+       or 2u*sigma (p > 0), and |q - p| <= g/2.  Round to nearest even
+       gives q = 0 for |p| <= g/2, and otherwise q of p's sign with
+       |q|/2 <= |p| <= 2|q|, so r = p - q is exact (Sterbenz again) and
+       |r| <= u*sigma.
     2. Every |q| <= |p| + u*sigma, so each partial sum of the q, in any
        order, is a multiple of u*sigma below m*(sigma/(m+2) + u*sigma) <
        sigma in magnitude, hence a float: tau = fl(sum q) is exact in the
@@ -213,19 +238,28 @@ def _row_fsums(T: np.ndarray) -> List[float]:
        side, so S rounds to res.
     4. Undecided rows go to fsum.  Among them is every row with
        |res| <= 2^-1021 (h = 0), so fsum sets the sign of a zero sum, and
-       every row with K out of range, which is zeroed before the
-       arithmetic (fsum then raises its own OverflowError where the sum
-       overflows).
+       every row out of range, which is zeroed before the arithmetic: fsum
+       then sets the sign of a sum of zeros, and returns the infinity or
+       raises its own OverflowError or ValueError, as on the scalar path.
     """
+    import numpy as np
+
     m = T.shape[1]
     if m >= 1 << 25:
         return [math.fsum(row) for row in T.tolist()]
-    K = np.frexp(np.max(np.abs(T), axis=1))[1] + (m + 1).bit_length()
-    out = (K < -960) | (K > 1023)
+    c = (m + 1).bit_length()
+    top = np.max(np.abs(T), axis=1)
+    K = np.frexp(top)[1] + c
+    out = (top < 2.0 ** (-961 - c)) | (top >= 2.0 ** (1023 - c))
     P = T
     if out.any():
-        P = np.where(out[:, None], 0.0, T)
         K[out] = 0
+        # All-zero rows need no zeroing.  The x = 0 row of sin_xy and
+        # bilinear_xy on squares from 0 is one, and would otherwise cost a
+        # copy of its block in every pass.
+        wipe = out & (top > 0.0)
+        if wipe.any():
+            P = np.where(wipe[:, None], 0.0, T)
     sigma = np.ldexp(1.0, K)
     Q = P + sigma[:, None]
     Q -= sigma[:, None]
@@ -297,6 +331,9 @@ def _array_rows(
     :func:`_row_fsums`, which returns ``math.fsum``'s values, or by fsum
     itself in blocks too small to pay for numpy's calls.
     """
+    import numpy as np
+
+    _hold_heap(np)
     size = len(nodes)
     n = size - 1
     X = np.array(nodes).reshape(size, 1)
@@ -328,17 +365,19 @@ def _array_rows(
                 f"integrand returned non-finite value {float(V[i, j])!r} "
                 f"at grid point ({nodes[start + i]!r}, {nodes[j]!r})"
             )
-        T = V * W
+        # Products of Python floats overflow to inf silently; so do these.
+        with np.errstate(over="ignore"):
+            T = V * W
+            Wx = W[start : start + rows]
+            to_end = Wx / weights[0]
+            down += (T[:, 0] * to_end).tolist()
+            up += (T[:, n] * to_end).tolist()
+            if mid is not None:
+                horizontal += (T[:, mid] * (Wx / weights[mid])).tolist()
         if T.size < _FSUM_BELOW:
             sums += [math.fsum(row) for row in T.tolist()]
         else:
             sums += _row_fsums(T)
-        Wx = W[start : start + rows]
-        to_end = Wx / weights[0]
-        down += (T[:, 0] * to_end).tolist()
-        up += (T[:, n] * to_end).tolist()
-        if mid is not None:
-            horizontal += (T[:, mid] * (Wx / weights[mid])).tolist()
     return sums, down, up, horizontal
 
 

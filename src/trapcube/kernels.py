@@ -19,12 +19,15 @@ thresholds visible in closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
-import numpy as np
-
-from .cubature import _BLOCK_POINTS
+from .cubature import _BLOCK_POINTS, _hold_heap
 from .univariate import _SIGNS, Interval, QuadratureRule, apply, midpoint_rule, peano_kernel, trapezium_rule
+
+# numpy is imported inside the scan functions, so that the point
+# kernels never load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "KernelSpec",
@@ -181,9 +184,13 @@ def phi(variant: str, iv: Interval, n: int, c: float, t: float, tau: float) -> f
 # trapezium kernel is nonpositive in floating point as well.
 
 def _k2_mid_grid(g: np.ndarray, iv: Interval) -> np.ndarray:
+    import numpy as np
+
     return 0.5 * (g - iv.a) ** 2 - iv.width * np.maximum(g - iv.midpoint, 0.0)
 
 def _k2_trap_grid(g: np.ndarray, iv: Interval, n: int) -> np.ndarray:
+    import numpy as np
+
     h = iv.width / n
     panel = np.clip(np.floor((g - iv.a) / h), 0, n - 1)
     xi = g - (iv.a + panel * h)
@@ -211,6 +218,9 @@ def definiteness_scan(spec: KernelSpec, expected: str, resolution: int) -> ScanR
         raise ValueError(f"expected sign must be one of {_SIGNS}, got {expected!r}")
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
+    import numpy as np
+
+    _hold_heap(np)
     iv, n, c = spec.iv, spec.n, spec.c
     size = resolution + 1
     grid = np.linspace(iv.a, iv.b, size)

@@ -16,11 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .univariate import Interval
+
+# numpy is imported inside the brute-force integrator, so that the
+# reference series never load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["ReferenceValue", "ref_exp_integral", "ref_sin_integral", "brute_force_integral"]
 
@@ -95,6 +98,8 @@ def _eval_row(f: Callable[[float, float], float], x: float, ys: np.ndarray) -> n
     (or returns the wrong shape); only those fall back to a loop of
     scalar calls, so other errors from f propagate.
     """
+    import numpy as np
+
     try:
         values = np.asarray(f(x, ys), dtype=float)
         if values.shape == ys.shape:
@@ -107,6 +112,8 @@ def _eval_row(f: Callable[[float, float], float], x: float, ys: np.ndarray) -> n
 def _tensor_trapezoid(
     f: Callable[[float, float], float], a: float, b: float, panels: int
 ) -> float:
+    import numpy as np
+
     h = (b - a) / panels
     nodes = np.linspace(a, b, panels + 1)
     weights = np.full(panels + 1, h)

@@ -3,10 +3,12 @@ agrees with the scalar reference path and fails the same way."""
 import dataclasses
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
+from trapcube import cubature
 from trapcube.adaptive import refine, refine_mean
 from trapcube.cli import BUILTINS
 from trapcube.cubature import (
@@ -127,6 +129,23 @@ def test_non_finite_value_is_located_in_a_later_block():
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert f"({cx!r}, {cy!r})" in messages[0]
+
+
+@pytest.mark.parametrize("n", [4, 40])
+def test_overflowing_weighted_terms_give_the_scalar_sums_silently(n):
+    """f = 1e308 times the weights h = 25 and 2.5 overflows.  Python
+    floats go to inf without a warning, so the block products and row sums
+    must too, and give the scalar path's product and trace sums (n = 4
+    sums rows with fsum, n = 40 in numpy)."""
+    iv = Interval(0.0, 100.0)
+    vector = Integrand2D(f=lambda x, y: np.full(np.broadcast(x, y).shape, 1e308), vectorized=True)
+    scalar = Integrand2D(f=lambda x, y: 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = cubature._grid_pass(vector, iv, n)
+        value = product_trapezoid(vector, iv, n).value
+    assert grid == cubature._grid_pass(scalar, iv, n)
+    assert value == product_trapezoid(scalar, iv, n).value == math.inf
 
 
 def test_wrong_shape_is_rejected():
