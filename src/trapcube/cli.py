@@ -351,9 +351,9 @@ def _render_scan(report: ScanReport, args: argparse.Namespace) -> None:
     )
     print(f"expected sign: {report.expected_sign}")
     print(f"scale: {report.scale:.6e}  slack: {SCAN_SLACK_FACTOR * report.scale:.2e}")
-    print(f"violations: {len(report.violations)}")
-    if report.violations:
-        t, tau, value = max(report.violations, key=lambda item: abs(item[2]))
+    print(f"violations: {report.violations}")
+    if report.worst is not None:
+        t, tau, value = report.worst
         print(f"worst: value={value:.6e} at (t, tau)=({_full(t)}, {_full(tau)})")
 
 

@@ -74,17 +74,23 @@ class KernelSpec:
 class ScanReport:
     """Outcome of a sign scan over a uniform grid.
 
-    ``violations`` holds, in row-major grid order, every point whose
-    value breaks the expected sign by more than the slack
-    ``SCAN_SLACK_FACTOR * scale``, where ``scale`` is the largest
-    absolute kernel value seen on the grid.
+    ``violations`` counts the grid points whose value breaks the
+    expected sign by more than the slack ``SCAN_SLACK_FACTOR * scale``,
+    where ``scale`` is the largest absolute kernel value seen on the
+    grid.  ``worst`` is the violation ``(t, tau, value)`` of largest
+    ``|value|``, the first in row-major grid order on ties, or None
+    when there is no violation.
     """
 
     grid_resolution: int
     expected_sign: str
-    violations: Tuple[Tuple[float, float, float], ...]
-    max_abs_violation: float
+    violations: int
+    worst: Optional[Tuple[float, float, float]]
     scale: float
+
+    @property
+    def max_abs_violation(self) -> float:
+        return 0.0 if self.worst is None else abs(self.worst[2])
 
     @property
     def ok(self) -> bool:
@@ -204,10 +210,10 @@ def definiteness_scan(spec: KernelSpec, expected: str, resolution: int) -> ScanR
     """Check the expected sign of a kernel on a uniform grid.
 
     Evaluates the kernel at all ``(resolution + 1)^2`` points of the
-    uniform tensor grid over the square and reports every point whose
-    value breaks ``expected`` by more than the slack
-    ``SCAN_SLACK_FACTOR * max |kernel|``.  Violations are listed in
-    row-major order.
+    uniform tensor grid over the square, counts the points whose value
+    breaks ``expected`` by more than the slack
+    ``SCAN_SLACK_FACTOR * max |kernel|``, and reports the worst of them.
+    Memory beyond one block of rows is 8 bytes per sign-breaking point.
 
     Violation regions of the comparison kernels just below their
     critical constants hug the grid lines, so catching them needs a
@@ -229,9 +235,10 @@ def definiteness_scan(spec: KernelSpec, expected: str, resolution: int) -> ScanR
     T2n = _k2_trap_grid(grid, iv, 2 * n) if spec.kind.startswith("phi") else None
 
     block = max(1, _BLOCK_POINTS // size)
-    # (flat grid index, value) arrays of the sign-breaking points of each
-    # block, before slack filtering, in row-major order.
+    # |value| of the sign-breaking points of each block.  The slack needs
+    # the final scale, so they are counted against it after the loop.
     hits = []
+    top = None  # largest |value| so far, with its point: (|value|, t, tau, value)
     scale = 0.0
     for start in range(0, size, block):
         # r picks the block's rows from the t-axis arrays (t down the
@@ -248,19 +255,21 @@ def definiteness_scan(spec: KernelSpec, expected: str, resolution: int) -> ScanR
         # np.flatnonzero there keeps one-row blocks as fast as a row loop.
         if bad.any():
             k = np.flatnonzero(bad)
-            hits.append((k + start * size, values.take(k)))
-    violations: Tuple[Tuple[float, float, float], ...] = ()
-    if hits:
-        k, v = (np.concatenate(parts) for parts in zip(*hits))
-        keep = np.abs(v) > SCAN_SLACK_FACTOR * scale
-        i, j = np.divmod(k[keep], size)
-        violations = tuple(zip(grid[i].tolist(), grid[j].tolist(), v[keep].tolist()))
-    worst = max((abs(v) for (_, _, v) in violations), default=0.0)
+            v = values.take(k)
+            mags = np.abs(v)
+            hits.append(mags)
+            m = int(mags.argmax())
+            # Strict comparison: on ties the earlier block's point stays.
+            if top is None or mags[m] > top[0]:
+                i, j = divmod(int(k[m]) + start * size, size)
+                top = (mags[m], float(grid[i]), float(grid[j]), float(v[m]))
+    slack = SCAN_SLACK_FACTOR * scale
+    violations = sum(int(np.count_nonzero(mags > slack)) for mags in hits)
     return ScanReport(
         grid_resolution=resolution,
         expected_sign=expected,
         violations=violations,
-        max_abs_violation=worst,
+        worst=top[1:] if violations else None,
         scale=scale,
     )
 

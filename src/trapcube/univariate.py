@@ -280,8 +280,11 @@ def trace_integral(
     -------
     (value, err_budget) : tuple of float
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
     if exact is not None:
-        return float(exact(iv)), 0.0
+        value = float(exact(iv))
+        if not math.isfinite(value):
+            raise ValueError(f"exact trace integral returned non-finite value {value!r}")
+        return value, 0.0
     return _romberg(g, iv, tol), tol

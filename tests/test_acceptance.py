@@ -96,7 +96,7 @@ def test_criterion_3_definiteness_scans():
     for n in (1, 2, 3, 4, 8):
         for kind, expected in (("k22_s_minus", "nonpositive"), ("k22_s_plus", "nonnegative")):
             report = definiteness_scan(KernelSpec(kind=kind, iv=UNIT, n=n), expected, 200)
-            assert report.violations == (), (kind, n, report.max_abs_violation)
+            assert report.violations == 0, (kind, n, report.max_abs_violation)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     print(f"criterion 3: 201x201 sign scans clean for n in {{1,2,3,4,8}} ({elapsed:.2f}s)")
@@ -136,21 +136,21 @@ def test_criterion_5_threshold_sharpness(n):
     at_critical = definiteness_scan(
         KernelSpec(kind="phi_minus", iv=UNIT, n=n, c=1.0), "nonnegative", resolution
     )
-    assert at_critical.violations == (), ("minus at c=1", n)
+    assert at_critical.violations == 0, ("minus at c=1", n)
     below = definiteness_scan(
         KernelSpec(kind="phi_minus", iv=UNIT, n=n, c=1.0 - 1e-2), "nonnegative", resolution
     )
-    assert len(below.violations) >= 1, ("minus below critical", n)
+    assert below.violations >= 1, ("minus below critical", n)
 
     critical = (4.0 * n - 1.0) / (4.0 * n - 3.0)
     at_critical_p = definiteness_scan(
         KernelSpec(kind="phi_plus", iv=UNIT, n=n, c=critical), "nonpositive", resolution
     )
-    assert at_critical_p.violations == (), ("plus at critical", n)
+    assert at_critical_p.violations == 0, ("plus at critical", n)
     below_p = definiteness_scan(
         KernelSpec(kind="phi_plus", iv=UNIT, n=n, c=critical - 1e-2), "nonpositive", resolution
     )
-    assert len(below_p.violations) >= 1, ("plus below critical", n)
+    assert below_p.violations >= 1, ("plus below critical", n)
     print(f"criterion 5 (n={n}): comparison-kernel scans flip exactly at the "
           f"critical constants (minus 1, plus {critical:.6f})")
 

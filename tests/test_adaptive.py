@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import trapcube.cubature as cubature
 from trapcube.adaptive import definite_pair_bounds, refine, refine_mean
 from trapcube.cli import BUILTINS
-from trapcube.cubature import Integrand2D, enclosure, s_minus, s_plus
+from trapcube.cubature import TRACE_IDS, Integrand2D, enclosure, s_minus, s_plus
 from trapcube.oracle import ref_exp_integral, ref_sin_integral
 from trapcube.univariate import Interval
 
@@ -215,3 +215,17 @@ def test_refine_integrates_each_trace_once_per_solve(monkeypatch, rule, traces):
         report = refine(EXP, UNIT, rule, tol=1e-6)
     assert len(report.levels) >= 3
     assert len(calls) == traces
+
+
+def test_non_finite_exact_traces_are_refused():
+    """A NaN from an exact-trace supplier is named, not reported as an
+    empty enclosure or carried into a refinement result."""
+    F = Integrand2D(
+        f=lambda x, y: math.exp(x * y),
+        d22_sign="nonnegative",
+        exact_traces={tid: (lambda iv: math.nan) for tid in TRACE_IDS},
+    )
+    with pytest.raises(ValueError, match="exact trace integral returned non-finite value nan"):
+        enclosure(F, UNIT, 4, 4)
+    with pytest.raises(ValueError, match="exact trace integral returned non-finite value nan"):
+        refine(F, UNIT, "s_minus", 1e-3, max_n=16)

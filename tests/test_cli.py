@@ -219,6 +219,21 @@ def test_scan_clean_kernel_exits_zero(capsys):
     assert "violations: 0" in out
 
 
+def test_scan_output_is_pinned(capsys):
+    code, out, err = run(
+        capsys, "scan", "--kernel", "phi-minus", "--n", "4", "--c", "0.9",
+        "--resolution", "512",
+    )
+    assert (code, err) == (1, "")
+    assert out == (
+        "kernel=phi-minus  n=4  c=0.9  square=[0, 1]^2  resolution=512\n"
+        "expected sign: nonnegative\n"
+        "scale: 1.043701e-03  slack: 1.04e-17\n"
+        "violations: 3352\n"
+        "worst: value=-4.521463e-06 at (t, tau)=(0.494140625, 0.494140625)\n"
+    )
+
+
 def test_scan_subcritical_comparison_kernel_exits_one(capsys):
     code, out, _ = run(
         capsys, "scan", "--kernel", "phi-minus", "--n", "4", "--c", "0.9",

@@ -1,6 +1,7 @@
 """Tests for the bivariate kernels, the sign scans, and the sharpness
 polynomials."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,7 +108,8 @@ def test_phi_validation():
 def test_scan_clean_for_rule_kernels(kind, expected, n):
     report = definiteness_scan(KernelSpec(kind=kind, iv=UNIT, n=n), expected, 41)
     assert report.ok
-    assert report.violations == ()
+    assert report.violations == 0
+    assert report.worst is None
     assert report.max_abs_violation == 0.0
     assert report.scale > 0.0
     assert report.grid_resolution == 41
@@ -137,7 +139,7 @@ def test_scan_threshold_behaviour_of_comparison_kernels():
     )
     assert not dirty.ok
     assert dirty.max_abs_violation > 0.0
-    assert all(abs(v) > SCAN_SLACK_FACTOR * dirty.scale for (_, _, v) in dirty.violations)
+    assert dirty.max_abs_violation > SCAN_SLACK_FACTOR * dirty.scale
 
     n = 2
     critical = (4.0 * n - 1.0) / (4.0 * n - 3.0)
@@ -151,17 +153,12 @@ def test_scan_threshold_behaviour_of_comparison_kernels():
     assert not dirty_p.ok
 
 
-def test_scan_violations_are_row_major():
-    report = definiteness_scan(
-        KernelSpec(kind="phi_minus", iv=UNIT, n=2, c=0.8), "nonnegative", 512
-    )
-    assert not report.ok
-    keys = [(t, tau) for (t, tau, _) in report.violations]
-    assert keys == sorted(keys)
-
-
 def _row_loop_scan(spec, expected, resolution):
-    """Reference scan: one grid row at a time, kernel formula written out."""
+    """Reference scan: one grid row at a time, kernel formula written out.
+
+    Returns the report and the full row-major list of violations it is
+    derived from.
+    """
     iv, n, c = spec.iv, spec.n, spec.c
     grid = np.linspace(iv.a, iv.b, resolution + 1)
     U = _k2_mid_grid(grid, iv) if spec.kind.endswith("minus") else _k2_ends_grid(grid, iv)
@@ -178,9 +175,10 @@ def _row_loop_scan(spec, expected, resolution):
         bad = values < 0.0 if expected == "nonnegative" else values > 0.0
         for j in np.flatnonzero(bad):
             candidates.append((float(grid[i]), float(grid[j]), float(values[j])))
-    violations = tuple(p for p in candidates if abs(p[2]) > SCAN_SLACK_FACTOR * scale)
-    worst = max((abs(v) for (_, _, v) in violations), default=0.0)
-    return ScanReport(resolution, expected, violations, worst, scale)
+    violations = [p for p in candidates if abs(p[2]) > SCAN_SLACK_FACTOR * scale]
+    # max keeps the first maximal item: the row-major-first worst point.
+    worst = max(violations, key=lambda p: abs(p[2]), default=None)
+    return ScanReport(resolution, expected, len(violations), worst, scale), violations
 
 
 def _hex(report):
@@ -189,7 +187,8 @@ def _hex(report):
         report.expected_sign,
         report.scale.hex(),
         report.max_abs_violation.hex(),
-        [tuple(x.hex() for x in point) for point in report.violations],
+        report.violations,
+        None if report.worst is None else tuple(x.hex() for x in report.worst),
     )
 
 
@@ -215,7 +214,7 @@ def test_block_scan_equals_row_loop(kind, c, expected, iv, n, resolution):
     bit whatever the sign; grids split across blocks are tested below."""
     spec = KernelSpec(kind=kind, iv=iv, n=n, c=c)
     report = definiteness_scan(spec, expected, resolution)
-    assert _hex(report) == _hex(_row_loop_scan(spec, expected, resolution))
+    assert _hex(report) == _hex(_row_loop_scan(spec, expected, resolution)[0])
 
 
 #: A grid row of more than half a block's points: every block is one row.
@@ -232,14 +231,49 @@ ONE_ROW_RESOLUTION = _BLOCK_POINTS // 2
 ])
 def test_block_scan_equals_row_loop_across_blocks(kind, c, expected, n, resolution, count):
     """Violations spread over many blocks, and grids of one row per
-    block, keep the row loop's report and order."""
+    block, keep the row loop's report."""
     rows_per_block = max(1, _BLOCK_POINTS // (resolution + 1))
     assert resolution + 1 > rows_per_block
     spec = KernelSpec(kind=kind, iv=UNIT, n=n, c=c)
     report = definiteness_scan(spec, expected, resolution)
-    assert _hex(report) == _hex(_row_loop_scan(spec, expected, resolution))
-    assert len(report.violations) == count
-    assert count == 0 or len({t for (t, _, _) in report.violations}) > rows_per_block
+    reference, violations = _row_loop_scan(spec, expected, resolution)
+    assert _hex(report) == _hex(reference)
+    assert report.violations == count
+    assert count == 0 or len({t for (t, _, _) in violations}) > rows_per_block
+
+
+def test_scan_worst_point_is_the_first_in_row_major_order_on_ties():
+    """phi is symmetric in (t, tau), so its largest violation here is
+    reached at two mirrored points in different blocks."""
+    spec = KernelSpec(kind="phi_plus", iv=UNIT, n=2, c=1.3)
+    report = definiteness_scan(spec, "nonpositive", 1000)
+    _, violations = _row_loop_scan(spec, "nonpositive", 1000)
+    assert len(violations) == report.violations == 1860
+    peak = max(abs(v) for (_, _, v) in violations)
+    assert [(t, tau) for (t, tau, v) in violations if abs(v) == peak] == [(0.01, 0.989), (0.989, 0.01)]
+    assert report.worst[:2] == (0.01, 0.989)
+    assert report.max_abs_violation == peak
+
+
+def test_wrong_sign_scan_memory_does_not_grow_with_the_violations():
+    """A scan with the wrong expected sign breaks it at almost every
+    point; its traced peak stays below 16 bytes per grid point (a
+    (t, tau, value) tuple per violation took over 200)."""
+    resolution = 1000
+    spec = KernelSpec(kind="k22_s_minus", iv=UNIT, n=4)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        report = definiteness_scan(spec, "nonnegative", resolution)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert report.violations == 997_992
+    assert peak < 16 * (resolution + 1) ** 2
 
 
 def test_scan_rejects_bad_arguments():

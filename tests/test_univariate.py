@@ -211,6 +211,18 @@ def test_trace_integral_rejects_bad_tol():
     with pytest.raises(ValueError):
         trace_integral(lambda t: t, UNIT, tol=0.0)
 
+    # A NaN tolerance is refused before the integrand is evaluated.
+    def g(t):
+        raise AssertionError(f"integrand evaluated at {t!r}")
+
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        trace_integral(g, UNIT, tol=math.nan)
+
+
+def test_trace_integral_rejects_non_finite_exact_value():
+    with pytest.raises(ValueError, match="non-finite value inf"):
+        trace_integral(lambda t: t, UNIT, exact=lambda iv: math.inf)
+
 
 def test_romberg_exhaustion_carries_best_estimate(monkeypatch):
     """An unreachable tolerance raises, but the error keeps the best value.
