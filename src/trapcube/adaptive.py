@@ -18,6 +18,7 @@ distinct names.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -209,7 +210,7 @@ def definite_pair_bounds(
     """
     if pair_kind not in _PAIR_KINDS:
         raise ValueError(f"pair_kind must be one of {_PAIR_KINDS}, got {pair_kind!r}")
-    if not c > 0.0:
-        raise ValueError(f"comparison constant must be positive, got {c!r}")
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"comparison constant must be finite and positive, got {c!r}")
     gap = abs(s_prime - s_doubleprime)
     return (c * gap, (c + 1.0) * gap)

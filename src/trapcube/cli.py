@@ -44,41 +44,22 @@ __all__ = ["BuiltinIntegrand", "BUILTINS", "table_rows", "main"]
 
 @dataclass(frozen=True)
 class BuiltinIntegrand:
-    """A named integrand with prewired derivative sign and exact traces.
+    """A built-in integrand with prewired derivative sign and exact traces.
 
-    The declared mixed-derivative sign is proven on the squares
-    [a, b]^2 that ``_PROVEN_SQUARES`` names: exp_xy where
-    a*b >= -0.5857, sin_xy where a*b >= 0 and max(a*a, b*b) <= 1.414
-    (the default [0, 1]^2 among them), poly_x2y2 and bilinear_xy on any
-    square.  ``trapcube integrate`` refuses other squares; library calls
-    trust the declaration wherever they are made.  The trace integrals
-    are closed forms valid on any square.  The integrands are numpy
-    expressions declared vectorized, so the grid pass evaluates them on
-    blocks of rows.
+    The declared mixed-derivative sign is proven on the squares [a, b]^2
+    where ``proven(a, b)`` holds, and ``condition`` states that test.
+    ``trapcube integrate`` refuses other squares; library calls trust the
+    declaration wherever they are made.  ``reference``, when given,
+    returns the series value on the unit square that ``table`` measures
+    remainders against.  The trace integrals are closed forms valid on
+    any square.  The integrands are numpy expressions declared
+    vectorized, so the grid pass evaluates them on blocks of rows.
     """
 
-    id: str
-    description: str
     integrand: Integrand2D
-
-
-#: Squares [a, b]^2 on which each built-in's declared D22 sign is proven,
-#: as ``(test(a, b), statement)``.  Each built-in is g(u) with u = x y, so
-#: D22 = u^2 g''''(u) + 4u g'''(u) + 2 g''(u), and u spans
-#: [min(a*b, a*a, b*b), max(a*a, b*b)] on the square.
-_PROVEN_SQUARES: Dict[str, Tuple[Callable[[float, float], bool], str]] = {
-    # e^u (u^2 + 4u + 2) >= 0 for u >= sqrt(2) - 2 = -0.58579, and u >= min(a*b, 0).
-    "exp_xy": (lambda a, b: a * b >= -0.5857, "a*b >= -0.5857"),
-    # (u^2 - 2) sin u and -4u cos u are both <= 0 for u in [0, sqrt(2)], as sqrt(2) < pi/2.
-    "sin_xy": (
-        lambda a, b: a * b >= 0 and max(a * a, b * b) <= 1.414,
-        "a*b >= 0 and max(a*a, b*b) <= 1.414",
-    ),
-    # D22 is the constant 4.
-    "poly_x2y2": (lambda a, b: True, "any square"),
-    # D22 is identically 0.
-    "bilinear_xy": (lambda a, b: True, "any square"),
-}
+    proven: Callable[[float, float], bool]
+    condition: str
+    reference: Optional[Callable[[], ReferenceValue]] = None
 
 
 def _traces(line_integral: Callable[[float, Interval], float]) -> Dict[str, Callable[[Interval], float]]:
@@ -134,56 +115,62 @@ def _sin_xy(x, y):
     return np.sin(x * y)
 
 
+# Each built-in is g(u) with u = x y, so D22 = u^2 g''''(u) + 4u g'''(u)
+# + 2 g''(u), and u spans [min(a*b, a*a, b*b), max(a*a, b*b)] on [a, b]^2.
 BUILTINS: Dict[str, BuiltinIntegrand] = {
     "exp_xy": BuiltinIntegrand(
-        id="exp_xy",
-        description="e^(x y); mixed derivative nonnegative on [a, b]^2 with a*b >= -0.5857",
         integrand=Integrand2D(
             f=_exp_xy,
             d22_sign="nonnegative",
             exact_traces=_traces(_exp_line),
             vectorized=True,
         ),
+        # e^u (u^2 + 4u + 2) >= 0 for u >= sqrt(2) - 2 = -0.58579, and u >= min(a*b, 0).
+        proven=lambda a, b: a * b >= -0.5857,
+        condition="a*b >= -0.5857",
+        reference=ref_exp_integral,
     ),
     "sin_xy": BuiltinIntegrand(
-        id="sin_xy",
-        description=(
-            "sin(x y); mixed derivative nonpositive on [a, b]^2"
-            " with a*b >= 0 and max(a*a, b*b) <= 1.414"
-        ),
         integrand=Integrand2D(
             f=_sin_xy,
             d22_sign="nonpositive",
             exact_traces=_traces(_sin_line),
             vectorized=True,
         ),
+        # (u^2 - 2) sin u and -4u cos u are both <= 0 for u in [0, sqrt(2)], as sqrt(2) < pi/2.
+        proven=lambda a, b: a * b >= 0 and max(a * a, b * b) <= 1.414,
+        condition="a*b >= 0 and max(a*a, b*b) <= 1.414",
+        reference=ref_sin_integral,
     ),
     "poly_x2y2": BuiltinIntegrand(
-        id="poly_x2y2",
-        description="x^2 y^2; mixed derivative constant 4 on any square",
         integrand=Integrand2D(
             f=lambda x, y: (x * x) * (y * y),
             d22_sign="nonnegative",
             exact_traces=_traces(_sq_line),
             vectorized=True,
         ),
+        # D22 is the constant 4.
+        proven=lambda a, b: True,
+        condition="any square",
     ),
     "bilinear_xy": BuiltinIntegrand(
-        id="bilinear_xy",
-        description="x y; mixed derivative identically zero on any square",
         integrand=Integrand2D(
             f=lambda x, y: x * y,
             d22_sign="nonnegative",
             exact_traces=_traces(_bilinear_line),
             vectorized=True,
         ),
+        # D22 is identically 0.
+        proven=lambda a, b: True,
+        condition="any square",
     ),
 }
 
-_TABLE_REFS: Dict[str, Callable[[], ReferenceValue]] = {
-    "exp_xy": ref_exp_integral,
-    "sin_xy": ref_sin_integral,
-}
+
+def _table_fns() -> Tuple[str, ...]:
+    """The built-ins with a series reference, which ``table`` serves."""
+    return tuple(sorted(fn_id for fn_id, b in BUILTINS.items() if b.reference is not None))
+
 
 _SCAN_KINDS: Dict[str, Tuple[str, str]] = {
     "k22-minus": ("k22_s_minus", "nonpositive"),
@@ -219,16 +206,17 @@ def table_rows(fn_id: str, n_list: Sequence[int]) -> Tuple[ReferenceValue, List[
     the edge rule's certified bound (4n-1)/(4n-3) |S(2n) - S(n)|.  Each
     distinct level's grid is evaluated once, for both rules.
     """
-    if fn_id not in _TABLE_REFS:
-        raise ValueError(f"tables are defined for {tuple(_TABLE_REFS)}, got {fn_id!r}")
+    builtin = BUILTINS.get(fn_id)
+    if builtin is None or builtin.reference is None:
+        raise ValueError(f"tables are defined for {_table_fns()}, got {fn_id!r}")
     if not n_list:
         raise ValueError("n-list must not be empty")
-    F = BUILTINS[fn_id].integrand
+    F = builtin.integrand
     iv = Interval(0.0, 1.0)
     for n in n_list:
         if n < 1:
             raise ValueError(f"levels must be >= 1, got {n}")
-    reference = _TABLE_REFS[fn_id]()
+    reference = builtin.reference()
     ns = sorted(set(n_list) | {2 * n for n in n_list})
     values = dict(zip(ns, _levels(F, iv, ("s_minus", "s_plus"), ns, 1e-12)))
     minus = {n: level["s_minus"].value for n, level in values.items()}
@@ -307,11 +295,10 @@ def _emit_integrate(report: RefinementReport, fn_id: str, iv: Interval, fmt: str
 def cmd_integrate(args: argparse.Namespace) -> int:
     fn = BUILTINS[args.fn]
     iv = Interval(args.a, args.b)
-    proven, statement = _PROVEN_SQUARES[args.fn]
-    if not proven(iv.a, iv.b):
+    if not fn.proven(iv.a, iv.b):
         raise ValueError(
             f"the {fn.integrand.d22_sign} mixed derivative of {args.fn} is proven only on"
-            f" squares [a, b]^2 with {statement}; got [{iv.a:g}, {iv.b:g}]^2"
+            f" squares [a, b]^2 with {fn.condition}; got [{iv.a:g}, {iv.b:g}]^2"
         )
     if args.rule == "mean":
         report = refine_mean(fn.integrand, iv, tol=args.tol, n0=args.n0, max_n=args.max_n)
@@ -359,11 +346,6 @@ def _render_scan(report: ScanReport, args: argparse.Namespace) -> None:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     kind, expected = _SCAN_KINDS[args.kernel]
-    if kind.startswith("phi"):
-        if args.c is None:
-            raise ValueError(f"--c is required for kernel {args.kernel}")
-    elif args.c is not None:
-        raise ValueError(f"--c does not apply to kernel {args.kernel}")
     resolution = 32 * args.n if args.resolution is None else args.resolution
     spec = KernelSpec(kind=kind, iv=Interval(args.a, args.b), n=args.n, c=args.c)
     report = definiteness_scan(spec, expected, resolution)
@@ -404,7 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_int.set_defaults(handler=cmd_integrate)
 
     p_tab = sub.add_parser("table", help="remainders and bound columns on the unit square")
-    p_tab.add_argument("--fn", required=True, choices=sorted(_TABLE_REFS))
+    p_tab.add_argument("--fn", required=True, choices=_table_fns())
     p_tab.add_argument("--n-list", default="4,8,16,32,64,128", dest="n_list")
     p_tab.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_tab.set_defaults(handler=cmd_table)

@@ -389,11 +389,14 @@ def _grid_pass(F: Integrand2D, iv: Interval, n: int) -> _GridPass:
     along row i is that row's sum, and a column's trace term in row i is
     ``terms[c] * (wx / weights[c])``, where the weight ratio is exactly
     1, 2 or 1/2; each column is summed with one ``fsum``.  So every sum
-    equals the one :func:`apply` computes on the trace bit for bit.  The
+    equals the one :func:`apply` computes on the trace bit for bit,
+    except where the terms are subnormal: a subnormal ``terms[c]`` holds
+    fewer bits than ``wx * v``, and halving one may round, so a column
+    sum can then differ from :func:`apply`'s in its last bits.  The
     scalar path calls ``math.fsum`` per row; a vectorized integrand's
     blocks are summed by :func:`_row_fsums`, which returns the same
     values, so it gives the scalar path's result whenever its values are
-    equal.
+    equal, subnormal terms included.
     """
     rule = trapezium_rule(iv, n)
     nodes, weights = rule.nodes, rule.weights

@@ -18,6 +18,7 @@ thresholds visible in closed form.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Tuple
 
@@ -51,7 +52,7 @@ SCAN_SLACK_FACTOR = 1e-14
 @dataclass(frozen=True)
 class KernelSpec:
     """Which kernel to scan: the kind, the square, the level, and (for
-    comparison kernels) the constant c."""
+    comparison kernels) the constant c, finite and positive."""
 
     kind: str
     iv: Interval
@@ -64,8 +65,8 @@ class KernelSpec:
         if self.n < 1:
             raise ValueError(f"level must be >= 1, got {self.n}")
         if self.kind.startswith("phi"):
-            if self.c is None or not self.c > 0.0:
-                raise ValueError(f"comparison kernels require c > 0, got {self.c!r}")
+            if self.c is None or not 0.0 < self.c < math.inf:
+                raise ValueError(f"comparison kernels require a finite c > 0, got {self.c!r}")
         elif self.c is not None:
             raise ValueError(f"c is only meaningful for comparison kernels, got {self.c!r}")
 
@@ -174,8 +175,8 @@ def phi(variant: str, iv: Interval, n: int, c: float, t: float, tau: float) -> f
     variant ('minus' or 'plus').  Its fixed sign for large enough c is
     what turns two successive rule values into a certified error bound.
     """
-    if not c > 0.0:
-        raise ValueError(f"comparison constant must be positive, got {c!r}")
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"comparison constant must be finite and positive, got {c!r}")
     if variant == "minus":
         k22 = k22_s_minus
     elif variant == "plus":

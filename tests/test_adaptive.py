@@ -165,6 +165,9 @@ def test_definite_pair_bounds_validation():
         definite_pair_bounds("mixed_pair", 1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         definite_pair_bounds("pos_pair", 0.0, 0.0, 1.0)
+    for c in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            definite_pair_bounds("pos_pair", c, 1.0, 1.0)
 
 
 def test_definite_pair_bounds_reproduce_the_refine_bounds():

@@ -1,4 +1,5 @@
 """End-to-end tests of the command-line surface via main(argv)."""
+import dataclasses
 import gc
 import json
 import math
@@ -23,6 +24,9 @@ def test_builtins_are_fully_wired():
     for b in BUILTINS.values():
         assert b.integrand.d22_sign in ("nonnegative", "nonpositive")
         assert set(b.integrand.exact_traces) == set(TRACE_IDS)
+        assert callable(b.proven)
+        assert isinstance(b.condition, str) and b.condition
+    assert {fn_id for fn_id, b in BUILTINS.items() if b.reference} == {"exp_xy", "sin_xy"}
 
 
 @pytest.mark.parametrize("fn_id", sorted(BUILTINS))
@@ -152,6 +156,19 @@ def test_integrate_refuses_squares_where_the_sign_is_not_proven(capsys, fn_id, a
     assert f"proven only on squares [a, b]^2 with {proven}" in err
 
 
+@pytest.mark.parametrize("fn_id", sorted(BUILTINS))
+def test_integrate_refusal_quotes_the_record_condition(capsys, monkeypatch, fn_id):
+    """integrate takes the proof test and its wording from the record."""
+    record = BUILTINS[fn_id]
+    monkeypatch.setitem(BUILTINS, fn_id, dataclasses.replace(record, proven=lambda a, b: False))
+    code, out, err = run(capsys, "integrate", "--fn", fn_id, "--rule", "mean", "--tol", "1e-3")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: the {record.integrand.d22_sign} mixed derivative of {fn_id} is proven"
+        f" only on squares [a, b]^2 with {record.condition}; got [0, 1]^2\n"
+    )
+
+
 @pytest.mark.parametrize("a,b", [("0", "1"), ("0", "1.18"), ("-1.18", "-0.5")])
 def test_integrate_accepts_squares_where_the_sin_sign_is_proven(capsys, a, b):
     code, out, _ = run(
@@ -212,6 +229,19 @@ def test_table_rejects_unknown_fn_and_bad_n_list(capsys):
     assert run(capsys, "table", "--fn", "exp_xy", "--n-list", "0")[0] == 2
 
 
+@pytest.mark.parametrize("fn_id", sorted(BUILTINS))
+def test_table_serves_exactly_the_builtins_with_a_reference(capsys, fn_id):
+    code, out, err = run(capsys, "table", "--fn", fn_id, "--n-list", "4")
+    if BUILTINS[fn_id].reference is None:
+        assert (code, out) == (2, "")
+        assert "invalid choice" in err
+        with pytest.raises(ValueError, match="tables are defined for"):
+            table_rows(fn_id, [4])
+    else:
+        assert (code, err) == (0, "")
+        assert out.startswith(f"fn={fn_id}  reference=")
+
+
 def test_scan_clean_kernel_exits_zero(capsys):
     code, out, _ = run(capsys, "scan", "--kernel", "k22-minus", "--n", "4")
     assert code == 0
@@ -251,10 +281,22 @@ def test_scan_at_critical_constant_is_clean(capsys):
 
 
 def test_scan_usage_errors(capsys):
-    assert run(capsys, "scan", "--kernel", "phi-minus", "--n", "2")[0] == 2  # missing c
-    assert run(capsys, "scan", "--kernel", "k22-plus", "--n", "2", "--c", "1.0")[0] == 2
     assert run(capsys, "scan", "--kernel", "simpson", "--n", "2")[0] == 2
     assert run(capsys, "scan", "--kernel", "k22-plus", "--n", "0")[0] == 2
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("--kernel", "phi-minus", "--n", "2"), "comparison kernels require a finite c > 0, got None"),
+    (("--kernel", "k22-plus", "--n", "2", "--c", "1.0"),
+     "c is only meaningful for comparison kernels, got 1.0"),
+    (("--kernel", "phi-plus", "--n", "2", "--c", "0"), "comparison kernels require a finite c > 0, got 0.0"),
+    # Every phi value is NaN at c = inf, which a scan would count as clean.
+    (("--kernel", "phi-minus", "--n", "2", "--c", "inf", "--resolution", "16"),
+     "comparison kernels require a finite c > 0, got inf"),
+    (("--kernel", "phi-plus", "--n", "2", "--c", "nan"), "comparison kernels require a finite c > 0, got nan"),
+], ids=["missing", "k22", "zero", "inf", "nan"])
+def test_scan_refuses_a_misused_c(capsys, argv, message):
+    assert run(capsys, "scan", *argv) == (2, "", f"error: {message}\n")
 
 
 def test_table_rows_rejects_non_table_builtins():

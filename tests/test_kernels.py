@@ -40,6 +40,11 @@ def test_kernel_spec_validation():
         KernelSpec(kind="phi_minus", iv=UNIT, n=2)  # c required
     with pytest.raises(ValueError):
         KernelSpec(kind="phi_plus", iv=UNIT, n=2, c=0.0)
+    # An infinite c makes every phi value NaN (inf - inf, inf * 0), which
+    # a sign scan would count as no violation.
+    for c in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite c > 0"):
+            KernelSpec(kind="phi_minus", iv=UNIT, n=2, c=c)
     with pytest.raises(ValueError):
         KernelSpec(kind="k22_s_plus", iv=UNIT, n=2, c=1.0)  # c meaningless
 
@@ -98,6 +103,9 @@ def test_phi_validation():
         phi("minus", UNIT, 2, 0.0, 0.5, 0.5)
     with pytest.raises(ValueError):
         phi("both", UNIT, 2, 1.0, 0.5, 0.5)
+    for c in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            phi("minus", UNIT, 2, c, 0.3, 0.4)
 
 
 @pytest.mark.parametrize("kind,expected", [

@@ -19,7 +19,7 @@ from trapcube.cubature import (
     s_minus,
     s_plus,
 )
-from trapcube.univariate import Interval, trapezium_rule
+from trapcube.univariate import Interval, apply, trapezium_rule
 
 UNIT = Interval(0.0, 1.0)
 
@@ -146,6 +146,27 @@ def test_overflowing_weighted_terms_give_the_scalar_sums_silently(n):
         value = product_trapezoid(vector, iv, n).value
     assert grid == cubature._grid_pass(scalar, iv, n)
     assert value == product_trapezoid(scalar, iv, n).value == math.inf
+
+
+def test_subnormal_terms_give_the_scalar_sums_bit_for_bit():
+    """At f = 1e-310 (1 + x^2 y^2) the weighted terms are subnormal, so a
+    column's ``terms[c] * (wx / weights[c])`` can differ from apply's
+    ``wx * v``.  Row traces still equal apply, and both paths still give
+    the same product and trace sums."""
+    scalar = Integrand2D(f=lambda x, y: 1e-310 * (1.0 + (x * x) * (y * y)))
+    vector = dataclasses.replace(scalar, vectorized=True)
+    for iv in (UNIT, Interval(-1.0, 1.0), Interval(0.1, 0.7), Interval(-3.0, 2.5)):
+        for n in range(1, 70):
+            want, got = (cubature._grid_pass(F, iv, n) for F in (scalar, vector))
+            assert _bits(got.product) == _bits(want.product), (iv, n)
+            assert {k: _bits(v) for k, v in got.sums.items()} == {
+                k: _bits(v) for k, v in want.sums.items()
+            }, (iv, n)
+            rule = trapezium_rule(iv, n)
+            for tid in ("left", "right", "vertical-mid"):
+                if tid in want.sums:
+                    trace = cubature._trace_function(scalar.f, tid, iv)
+                    assert _bits(want.sums[tid]) == _bits(apply(rule, trace)), (iv, n, tid)
 
 
 def test_wrong_shape_is_rejected():
