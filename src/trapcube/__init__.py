@@ -19,7 +19,6 @@ from .cubature import (
     CubatureEstimate,
     Enclosure,
     Integrand2D,
-    blending_form_value,
     enclosure,
     error_constant,
     product_trapezoid,
@@ -32,7 +31,6 @@ from .kernels import (
     definiteness_scan,
     k22_s_minus,
     k22_s_plus,
-    k22_s_plus_mixed,
     phi,
     psi,
     sharpness_g,
@@ -50,7 +48,6 @@ from .univariate import (
     apply,
     midpoint_rule,
     peano_kernel,
-    peano_kernel_integral_k2,
     trace_integral,
     trapezium_rule,
 )
@@ -71,7 +68,6 @@ __all__ = [
     "ScanReport",
     "TRACE_IDS",
     "apply",
-    "blending_form_value",
     "brute_force_integral",
     "definite_pair_bounds",
     "definiteness_scan",
@@ -79,10 +75,8 @@ __all__ = [
     "error_constant",
     "k22_s_minus",
     "k22_s_plus",
-    "k22_s_plus_mixed",
     "midpoint_rule",
     "peano_kernel",
-    "peano_kernel_integral_k2",
     "phi",
     "product_trapezoid",
     "psi",

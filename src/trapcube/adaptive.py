@@ -41,11 +41,16 @@ _PAIR_KINDS = ("pos_pair", "neg_pair")
 class RefinementLevel:
     """One level of the doubling sequence.
 
-    ``aposteriori_bound`` is the certified error bound for this level's
-    estimate; ``table_bound`` is the quantity convergence tables print
-    (half the difference for the mid-line rule, the same bound for the
-    edge rule).  Both are None on the coarsest level, where no
-    difference exists yet.
+    ``aposteriori_bound`` is the error bound for this level's estimate.
+    For 'mean' it is the certified bound: half the enclosure's width,
+    ``trace_budget`` included.  For 's_minus' and 's_plus' it is the
+    bound from the difference to the previous level alone, and the
+    certified bound is ``aposteriori_bound + trace_budget``, as in the
+    report's ``final_bound``.  ``table_bound`` is the quantity
+    convergence tables print (half the difference for the mid-line
+    rule, the same bound for the edge rule).  Both are None on the
+    coarsest level of the one-sided rules, where no difference exists
+    yet; ``table_bound`` is always None for 'mean'.
     """
 
     n: int

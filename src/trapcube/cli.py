@@ -187,6 +187,11 @@ def _sig4(x: Optional[float]) -> str:
     return "-" if x is None else format(x, ".3e")
 
 
+#: Largest level a table row may name.  Each row also evaluates level 2n,
+#: so the finest grid a table builds is level 2048.
+_MAX_TABLE_LEVEL = 1024
+
+
 @dataclass(frozen=True)
 class TableRow:
     """One convergence-table row: remainders and bound columns at level n."""
@@ -214,8 +219,8 @@ def table_rows(fn_id: str, n_list: Sequence[int]) -> Tuple[ReferenceValue, List[
     F = builtin.integrand
     iv = Interval(0.0, 1.0)
     for n in n_list:
-        if n < 1:
-            raise ValueError(f"levels must be >= 1, got {n}")
+        if not 1 <= n <= _MAX_TABLE_LEVEL:
+            raise ValueError(f"levels must be in 1..{_MAX_TABLE_LEVEL}, got {n}")
     reference = builtin.reference()
     ns = sorted(set(n_list) | {2 * n for n in n_list})
     values = dict(zip(ns, _levels(F, iv, ("s_minus", "s_plus"), ns, 1e-12)))

@@ -40,7 +40,6 @@ __all__ = [
     "s_plus",
     "error_constant",
     "enclosure",
-    "blending_form_value",
 ]
 
 #: Identifiers of the six univariate traces of a bivariate integrand:
@@ -583,112 +582,3 @@ def enclosure(
         n_upper=high.n,
         slack=slack,
     )
-
-
-def _blending_interpolant_mid(f, fx, fy, fxy, iv: Interval):
-    """Tangent-plane blending interpolant at the double midpoint node.
-
-    Matches f and its first-order data along both mid-lines; its mixed
-    derivative D22 vanishes identically, so it is integrated exactly by
-    every rule considered here.
-    """
-    m = iv.midpoint
-
-    def Bf(x: float, y: float) -> float:
-        return (
-            f(m, y)
-            + (x - m) * fx(m, y)
-            + f(x, m)
-            + (y - m) * fy(x, m)
-            - f(m, m)
-            - (y - m) * fy(m, m)
-            - (x - m) * fx(m, m)
-            - (x - m) * (y - m) * fxy(m, m)
-        )
-
-    return Bf
-
-
-def _blending_interpolant_edges(f, iv: Interval):
-    """Bilinear-in-each-variable blending interpolant on the four edges."""
-    a, b = iv.a, iv.b
-    w = iv.width
-
-    def la(t: float) -> float:
-        return (b - t) / w
-
-    def lb(t: float) -> float:
-        return (t - a) / w
-
-    def Bf(x: float, y: float) -> float:
-        return (
-            la(x) * f(a, y)
-            + lb(x) * f(b, y)
-            + la(y) * f(x, a)
-            + lb(y) * f(x, b)
-            - la(x) * la(y) * f(a, a)
-            - la(x) * lb(y) * f(a, b)
-            - lb(x) * la(y) * f(b, a)
-            - lb(x) * lb(y) * f(b, b)
-        )
-
-    return Bf
-
-
-def blending_form_value(
-    F: Integrand2D,
-    iv: Interval,
-    n: int,
-    rule: str,
-    trace_tol: float = 1e-12,
-    fx: Optional[Callable[[float, float], float]] = None,
-    fy: Optional[Callable[[float, float], float]] = None,
-    fxy: Optional[Callable[[float, float], float]] = None,
-) -> float:
-    """Rule value recomputed through its construction route.
-
-    Both one-sided rules arise by the scheme
-
-        S_n[f] = I[Bf] + C_n[f] - C_n[Bf]
-
-    with Bf a blending interpolant of f (a function whose mixed
-    derivative vanishes): the double-midpoint-node interpolant for
-    's_minus', the four-edge interpolant for 's_plus'.  This evaluator
-    builds Bf pointwise, which exercises the cancellation of the
-    interpolant's derivative terms numerically instead of assuming it,
-    and serves as an independent cross-check of :func:`s_minus` and
-    :func:`s_plus`.
-
-    The midpoint-node interpolant carries first-order data, so the
-    's_minus' route requires the partial derivatives ``fx``, ``fy``
-    and ``fxy`` of the integrand.  Trace integrals are obtained through
-    the same :func:`trace_integral` path as the direct rules, so the
-    two routes share identical trace values.
-    """
-    if rule not in _RULE_TRACES:
-        raise ValueError(f"unknown rule {rule!r} (expected 's_minus' or 's_plus')")
-    if rule == "s_minus" and (fx is None or fy is None or fxy is None):
-        raise ValueError(
-            "the s_minus construction route needs fx, fy and fxy callables"
-        )
-    f = F.f
-    traces = _trace_integrals(F, iv, _RULE_TRACES[rule], trace_tol)
-    if rule == "s_minus":
-        m = iv.midpoint
-        w = iv.width
-        integral_bf = (
-            w * (traces["vertical-mid"][0] + traces["horizontal-mid"][0])
-            - w * w * f(m, m)
-        )
-        Bf = _blending_interpolant_mid(f, fx, fy, fxy, iv)
-    else:
-        a, b = iv.a, iv.b
-        w = 0.5 * iv.width
-        corner_sum = f(a, a) + f(a, b) + f(b, a) + f(b, b)
-        edges = math.fsum(traces[tid][0] for tid in _RULE_TRACES["s_plus"])
-        integral_bf = w * edges - w * w * corner_sum
-        Bf = _blending_interpolant_edges(f, iv)
-
-    c_f = product_trapezoid(F, iv, n).value
-    c_bf = product_trapezoid(Integrand2D(Bf), iv, n).value
-    return integral_bf + c_f - c_bf

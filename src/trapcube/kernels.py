@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from .cubature import _BLOCK_POINTS, _hold_heap
-from .univariate import _SIGNS, Interval, QuadratureRule, apply, midpoint_rule, peano_kernel, trapezium_rule
+from .univariate import _SIGNS, Interval, QuadratureRule, midpoint_rule, peano_kernel, trapezium_rule
 
 # numpy is imported inside the scan functions, so that the point
 # kernels never load it.
@@ -35,7 +35,6 @@ __all__ = [
     "ScanReport",
     "k22_s_minus",
     "k22_s_plus",
-    "k22_s_plus_mixed",
     "phi",
     "definiteness_scan",
     "psi",
@@ -138,34 +137,6 @@ def k22_s_plus(iv: Interval, n: int, t: float, tau: float) -> float:
     ``(t-a)(t-b)/2``.  Nonnegative throughout the square.
     """
     return _k22_point(trapezium_rule(iv, 1), iv, n, t, tau)
-
-
-def k22_s_plus_mixed(iv: Interval, n: int, t: float, tau: float) -> float:
-    """Edge-rule kernel through an independent algebraic arrangement.
-
-    Combines the single-panel kernel with the trapezium rule applied to
-    the interpolation-remainder line kernel
-
-        Kcal(x, t) = (x - t)_+ - (x - a)(b - t)/(b - a)
-
-    as ``G(tau) T(t) + T(tau) Q_n[Kcal(., t)]``.  Algebraically equal to
-    :func:`k22_s_plus`; evaluated separately for cross-validation.
-    """
-    a, b = iv.a, iv.b
-    if not (a <= t <= b and a <= tau <= b):
-        raise ValueError(f"point ({t!r}, {tau!r}) outside the square")
-    one = trapezium_rule(iv, 1)
-    trap = trapezium_rule(iv, n)
-    gtau = peano_kernel(one, 2, tau)
-    tt = peano_kernel(trap, 2, t)
-    ttau = peano_kernel(trap, 2, tau)
-    width = iv.width
-
-    def kcal(x: float) -> float:
-        return max(x - t, 0.0) - (x - a) * (b - t) / width
-
-    q = apply(trap, kcal)
-    return gtau * tt + ttau * q
 
 
 def phi(variant: str, iv: Interval, n: int, c: float, t: float, tau: float) -> float:

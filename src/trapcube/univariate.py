@@ -22,7 +22,6 @@ __all__ = [
     "midpoint_rule",
     "apply",
     "peano_kernel",
-    "peano_kernel_integral_k2",
     "trace_integral",
 ]
 
@@ -196,31 +195,6 @@ def peano_kernel(rule: QuadratureRule, s: int, t: float) -> float:
         w * _truncated_power(x - t, s - 1) for x, w in zip(rule.nodes, rule.weights)
     )
     return lead - tail / fac
-
-
-def peano_kernel_integral_k2(rule_kind: str, iv: Interval, n: Optional[int] = None) -> float:
-    """Closed-form integral of the order-2 Peano kernel over iv.
-
-    Parameters
-    ----------
-    rule_kind : {'trapezium', 'midpoint'}
-        Which rule's kernel to integrate.  ``n`` is required for
-        'trapezium' (number of panels) and ignored otherwise.
-
-    Returns
-    -------
-    float
-        ``(b-a)^3 / 24`` for the midpoint rule and ``-(b-a)^3 / (12 n^2)``
-        for the n-panel trapezium rule.
-    """
-    w = iv.width
-    if rule_kind == "midpoint":
-        return w**3 / 24.0
-    if rule_kind == "trapezium":
-        if n is None or n < 1:
-            raise ValueError("trapezium kernel integral requires a panel count n >= 1")
-        return -(w**3) / (12.0 * n * n)
-    raise ValueError(f"unknown rule kind {rule_kind!r}")
 
 
 _MAX_ROMBERG_LEVELS = 24

@@ -12,16 +12,12 @@ import pytest
 
 from trapcube.adaptive import refine  # noqa: F401  (surface sanity: import must work)
 from trapcube.cli import BUILTINS, main
-from trapcube.cubature import (
-    Integrand2D,
-    blending_form_value,
-    error_constant,
-    s_minus,
-    s_plus,
-)
-from trapcube.kernels import KernelSpec, definiteness_scan, k22_s_minus, k22_s_plus, k22_s_plus_mixed
+from trapcube.cubature import Integrand2D, error_constant, s_minus, s_plus
+from trapcube.kernels import KernelSpec, definiteness_scan, k22_s_minus, k22_s_plus
 from trapcube.oracle import ref_exp_integral, ref_sin_integral
 from trapcube.univariate import Interval
+
+from crosscheck import k22_s_plus_mixed, s_minus_by_blending, s_plus_by_blending
 
 UNIT = Interval(0.0, 1.0)
 
@@ -323,12 +319,10 @@ def test_criterion_8b_construction_route_matches_direct_form():
         F = Integrand2D(f=f)
         for n in (2, 5):
             direct_p = s_plus(F, UNIT, n, trace_tol=1e-13).value
-            built_p = blending_form_value(F, UNIT, n, "s_plus", trace_tol=1e-13)
+            built_p = s_plus_by_blending(F, UNIT, n, trace_tol=1e-13)
             rel_p = abs(built_p - direct_p) / abs(direct_p)
             direct_m = s_minus(F, UNIT, n, trace_tol=1e-13).value
-            built_m = blending_form_value(
-                F, UNIT, n, "s_minus", trace_tol=1e-13, fx=fx, fy=fy, fxy=fxy
-            )
+            built_m = s_minus_by_blending(F, UNIT, n, fx, fy, fxy, trace_tol=1e-13)
             rel_m = abs(built_m - direct_m) / abs(direct_m)
             worst = max(worst, rel_p, rel_m)
             assert rel_p <= 1e-12 and rel_m <= 1e-12, (n, rel_p, rel_m)

@@ -227,6 +227,11 @@ def test_table_rejects_unknown_fn_and_bad_n_list(capsys):
     assert run(capsys, "table", "--fn", "exp_xy", "--n-list", "4,x")[0] == 2
     assert run(capsys, "table", "--fn", "exp_xy", "--n-list", ",")[0] == 2
     assert run(capsys, "table", "--fn", "exp_xy", "--n-list", "0")[0] == 2
+    # Level 10^8 would start a pass over about 10^16 points.
+    for level in ("1025", "100000000"):
+        code, out, err = run(capsys, "table", "--fn", "exp_xy", "--n-list", f"4,{level}")
+        assert (code, out) == (2, "")
+        assert f"levels must be in 1..1024, got {level}" in err
 
 
 @pytest.mark.parametrize("fn_id", sorted(BUILTINS))

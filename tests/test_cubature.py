@@ -10,7 +10,6 @@ from trapcube.cubature import (
     TRACE_IDS,
     Enclosure,
     Integrand2D,
-    blending_form_value,
     enclosure,
     error_constant,
     product_trapezoid,
@@ -19,6 +18,8 @@ from trapcube.cubature import (
 )
 from trapcube.oracle import ref_exp_integral, ref_sin_integral
 from trapcube.univariate import Interval, apply, trace_integral, trapezium_rule
+
+from crosscheck import s_minus_by_blending, s_plus_by_blending
 
 UNIT = Interval(0.0, 1.0)
 
@@ -202,7 +203,7 @@ def test_mismatched_levels_allowed():
 def test_blending_route_matches_direct_edge_rule():
     for n in (1, 2, 5):
         direct = s_plus(EXP, UNIT, n, trace_tol=1e-13).value
-        built = blending_form_value(EXP, UNIT, n, "s_plus", trace_tol=1e-13)
+        built = s_plus_by_blending(EXP, UNIT, n, trace_tol=1e-13)
         assert built == pytest.approx(direct, rel=1e-13)
 
 
@@ -212,13 +213,8 @@ def test_blending_route_matches_direct_midline_rule():
     fxy = lambda x, y: (1.0 + x * y) * math.exp(x * y)
     for n in (1, 2, 5):
         direct = s_minus(EXP, UNIT, n, trace_tol=1e-13).value
-        built = blending_form_value(EXP, UNIT, n, "s_minus", trace_tol=1e-13, fx=fx, fy=fy, fxy=fxy)
+        built = s_minus_by_blending(EXP, UNIT, n, fx, fy, fxy, trace_tol=1e-13)
         assert built == pytest.approx(direct, rel=1e-13)
-
-
-def test_blending_route_midline_requires_partials():
-    with pytest.raises(ValueError):
-        blending_form_value(EXP, UNIT, 2, "s_minus")
 
 
 def test_blending_route_on_shifted_square():
@@ -227,10 +223,12 @@ def test_blending_route_on_shifted_square():
     fx = lambda x, y: 2 * x * (y**3 - y + 2)
     fy = lambda x, y: (x**2 + 1) * (3 * y**2 - 1)
     fxy = lambda x, y: 2 * x * (3 * y**2 - 1)
-    for rule, kwargs in (("s_plus", {}), ("s_minus", dict(fx=fx, fy=fy, fxy=fxy))):
-        direct = (s_plus if rule == "s_plus" else s_minus)(poly, iv, 3, trace_tol=1e-13).value
-        built = blending_form_value(poly, iv, 3, rule, trace_tol=1e-13, **kwargs)
-        assert built == pytest.approx(direct, rel=1e-12)
+    direct = s_plus(poly, iv, 3, trace_tol=1e-13).value
+    built = s_plus_by_blending(poly, iv, 3, trace_tol=1e-13)
+    assert built == pytest.approx(direct, rel=1e-12)
+    direct = s_minus(poly, iv, 3, trace_tol=1e-13).value
+    built = s_minus_by_blending(poly, iv, 3, fx, fy, fxy, trace_tol=1e-13)
+    assert built == pytest.approx(direct, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 4, 5, 16])

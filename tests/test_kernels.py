@@ -19,12 +19,13 @@ from trapcube.kernels import (
     definiteness_scan,
     k22_s_minus,
     k22_s_plus,
-    k22_s_plus_mixed,
     phi,
     psi,
     sharpness_g,
 )
 from trapcube.univariate import Interval
+
+from crosscheck import k22_s_plus_mixed
 
 UNIT = Interval(0.0, 1.0)
 
@@ -83,11 +84,6 @@ def test_mixed_arrangement_agrees_with_three_term_form(n):
             direct = k22_s_plus(iv, n, t, tau)
             mixed = k22_s_plus_mixed(iv, n, t, tau)
             assert abs(direct - mixed) <= 1e-13 * scale
-
-
-def test_mixed_arrangement_domain_check():
-    with pytest.raises(ValueError):
-        k22_s_plus_mixed(UNIT, 2, 1.5, 0.5)
 
 
 def test_phi_is_the_documented_combination():

@@ -29,16 +29,8 @@ refine_mean(F, iv, tol=1e-3)
 s_minus(F, iv, 5)
 s_plus(F, iv, 5)
 product_trapezoid(F, iv, 5)
-e = lambda x, y: math.exp(x * y)
-blending_form_value(F, iv, 4, "s_plus")
-blending_form_value(
-    F, iv, 4, "s_minus",
-    fx=lambda x, y: y * e(x, y), fy=lambda x, y: x * e(x, y),
-    fxy=lambda x, y: (1.0 + x * y) * e(x, y),
-)
 k22_s_minus(iv, 4, 0.1, 0.2)
 k22_s_plus(iv, 4, 0.1, 0.2)
-k22_s_plus_mixed(iv, 4, 0.1, 0.2)
 phi("minus", iv, 4, 1.0, 0.1, 0.2)
 phi("plus", iv, 4, 1.2, 0.1, 0.2)
 psi("minus", 0, 0, 4, 1.0, 0.5, 0.5)

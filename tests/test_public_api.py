@@ -1,0 +1,53 @@
+"""The package's public names are pinned, so any change to them shows in a diff."""
+import trapcube
+from trapcube import adaptive, cubature, kernels, oracle, univariate
+
+PUBLIC_NAMES = {
+    "ConvergenceError",
+    "CubatureEstimate",
+    "Enclosure",
+    "Integrand2D",
+    "Interval",
+    "KernelSpec",
+    "QuadratureRule",
+    "ReferenceValue",
+    "RefinementLevel",
+    "RefinementReport",
+    "ScanReport",
+    "TRACE_IDS",
+    "apply",
+    "brute_force_integral",
+    "definite_pair_bounds",
+    "definiteness_scan",
+    "enclosure",
+    "error_constant",
+    "k22_s_minus",
+    "k22_s_plus",
+    "midpoint_rule",
+    "peano_kernel",
+    "phi",
+    "product_trapezoid",
+    "psi",
+    "ref_exp_integral",
+    "ref_sin_integral",
+    "refine",
+    "refine_mean",
+    "s_minus",
+    "s_plus",
+    "sharpness_g",
+    "trace_integral",
+    "trapezium_rule",
+    "__version__",
+}
+
+
+def test_package_exports_exactly_the_pinned_names():
+    assert len(trapcube.__all__) == len(PUBLIC_NAMES) == 35
+    assert set(trapcube.__all__) == PUBLIC_NAMES
+
+
+def test_package_reexports_every_submodule_name():
+    for module in (adaptive, cubature, kernels, oracle, univariate):
+        for name in module.__all__:
+            assert getattr(trapcube, name) is getattr(module, name), (module.__name__, name)
+            assert name in trapcube.__all__, (module.__name__, name)

@@ -12,7 +12,6 @@ from trapcube.univariate import (
     apply,
     midpoint_rule,
     peano_kernel,
-    peano_kernel_integral_k2,
     trace_integral,
     trapezium_rule,
 )
@@ -167,10 +166,9 @@ def test_peano_kernel_argument_validation():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7])
 def test_k2_integral_trapezium(n):
+    """The n-panel trapezium kernel integrates to -w^3 / (12 n^2)."""
     iv = Interval(0.25, 1.75)
     expected = -(iv.width**3) / (12.0 * n * n)
-    assert peano_kernel_integral_k2("trapezium", iv, n) == pytest.approx(expected, rel=1e-15)
-    # cross-check against direct integration of the kernel
     value, budget = trace_integral(
         lambda t: peano_kernel(trapezium_rule(iv, n), 2, t), iv, tol=1e-12
     )
@@ -178,17 +176,11 @@ def test_k2_integral_trapezium(n):
 
 
 def test_k2_integral_midpoint():
+    """The midpoint kernel integrates to w^3 / 24."""
     iv = Interval(-2.0, 1.0)
-    assert peano_kernel_integral_k2("midpoint", iv) == pytest.approx(iv.width**3 / 24.0, rel=1e-15)
-
-
-def test_k2_integral_validation():
-    with pytest.raises(ValueError):
-        peano_kernel_integral_k2("simpson", UNIT)
-    with pytest.raises(ValueError):
-        peano_kernel_integral_k2("trapezium", UNIT)  # n required
-    with pytest.raises(ValueError):
-        peano_kernel_integral_k2("trapezium", UNIT, 0)
+    expected = iv.width**3 / 24.0
+    value, budget = trace_integral(lambda t: peano_kernel(midpoint_rule(iv), 2, t), iv, tol=1e-12)
+    assert abs(value - expected) <= 1e-11
 
 
 def test_trace_integral_exact_supplier_has_zero_budget():
