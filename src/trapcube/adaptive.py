@@ -1,12 +1,12 @@
-"""Doubling refinement with certified a posteriori stopping.
+"""Refinement with certified a posteriori stopping.
 
 For an integrand whose mixed derivative has one sign, the one-sided
 rules approach the integral monotonically under mesh doubling, and the
-difference of two consecutive values dominates the finer value's true
-error:
+difference of the values at any pair of levels (m, 2m) dominates the
+finer value's true error:
 
-    mid-line rule:  |error at 2n| <= |S(2n) - S(n)|
-    edge rule:      |error at 2n| <= (4n-1)/(4n-3) * |S(2n) - S(n)|
+    mid-line rule:  |error at 2m| <= |S(2m) - S(m)|
+    edge rule:      |error at 2m| <= (4m-1)/(4m-3) * |S(2m) - S(m)|
 
 Both inequalities are sharp up to their stated constants, so the driver
 stops as soon as the bound (plus any trace-integration budget) drops
@@ -15,12 +15,20 @@ show half the mid-line difference, since the monotone halving makes the
 finer error at most half the coarser one; :class:`RefinementLevel`
 carries the certified bound and the table quantity side by side under
 distinct names.
+
+The tolerance picks the levels.  The driver runs n0 and 2*n0, then
+takes the n^-2 rate of :func:`cubature.error_constant` to predict from
+the last pair's bound the coarse level m whose pair (m, 2m) meets the
+tolerance, and evaluates that pair; a pair that falls short predicts
+again.  Only a row whose previous row is its half level carries a
+bound.  The mean of the two rules is bounded by their half gap at any
+single level, so it runs n0 and then one predicted level at a time.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .cubature import Integrand2D, _levels
 from .univariate import Interval
@@ -36,10 +44,14 @@ __all__ = [
 _RULES = ("s_minus", "s_plus")
 _PAIR_KINDS = ("pos_pair", "neg_pair")
 
+#: Safety factor on a predicted level: the n^-2 rate ignores the higher
+#: order terms of the error constant and the variation of D22 f.
+_PREDICTION_MARGIN = 1.05
+
 
 @dataclass(frozen=True)
 class RefinementLevel:
-    """One level of the doubling sequence.
+    """One level of a refinement.
 
     ``aposteriori_bound`` is the error bound for this level's estimate.
     For 'mean' it is the certified bound: half the enclosure's width,
@@ -48,9 +60,11 @@ class RefinementLevel:
     certified bound is ``aposteriori_bound + trace_budget``, as in the
     report's ``final_bound``.  ``table_bound`` is the quantity
     convergence tables print (half the difference for the mid-line
-    rule, the same bound for the edge rule).  Both are None on the
-    coarsest level of the one-sided rules, where no difference exists
-    yet; ``table_bound`` is always None for 'mean'.
+    rule, the same bound for the edge rule).  For the one-sided rules
+    both are set only on a row whose previous row is level n/2, such as
+    the finer row of each pair (m, 2m) the refinement evaluates.
+    ``table_bound`` is always None for 'mean', and every 'mean' row
+    carries its bound.
     """
 
     n: int
@@ -98,6 +112,60 @@ def _validate_refine_args(F: Integrand2D, rule: str, n0: int, tol: float, max_n:
         )
 
 
+def _predict(n: int, bound: float, budget: float, tol: float, cap: int, even: bool) -> int:
+    """Smallest level the n^-2 rate expects to bring ``bound`` under ``tol``.
+
+    ``bound`` is the error bound at level n without the trace budget; the
+    level m' that meets tol satisfies bound * (n/m')^2 + budget <= tol.
+    The result is rounded up to even when asked and never exceeds cap; a
+    tolerance the budget alone uses up gives cap.
+    """
+    if tol <= budget:
+        return cap
+    scaled = n * math.sqrt(bound / (tol - budget)) * _PREDICTION_MARGIN
+    if scaled >= cap:
+        return cap
+    level = math.ceil(scaled)
+    return min(level + level % 2 if even else level, cap)
+
+
+def _level_schedule(
+    rule: str, tol: float, n0: int, max_n: int, levels: List[RefinementLevel]
+) -> Iterator[int]:
+    """Levels of a solve, each chosen from the rows so far.
+
+    The refinement loop appends a row to ``levels`` before it asks for
+    the next level, so each prediction reads the last bound.  The mid-line
+    rule, alone or in the mean, gets even levels, whose mid-lines are grid
+    lines.  The iterator ends once the next level would not be finer,
+    which happens only at the cap.
+    """
+    even = rule != "s_plus"
+    yield n0
+    if rule == "mean":
+        cap = max_n - max_n % 2
+        while True:
+            last = levels[-1]
+            n = _predict(
+                last.n, last.aposteriori_bound - last.trace_budget, last.trace_budget, tol, cap, even
+            )
+            if n <= last.n:
+                return
+            yield n
+    cap = max_n // 2
+    if even:
+        cap -= cap % 2
+    yield 2 * n0
+    while True:
+        last = levels[-1]
+        m = _predict(last.n // 2, last.aposteriori_bound, last.trace_budget, tol, cap, even)
+        if m <= last.n // 2:
+            return
+        if m != last.n:
+            yield m
+        yield 2 * m
+
+
 def _refine(
     F: Integrand2D,
     iv: Interval,
@@ -107,18 +175,19 @@ def _refine(
     max_n: int,
     trace_tol: float,
 ) -> RefinementReport:
-    """The doubling loop behind :func:`refine` and :func:`refine_mean`.
+    """The refinement loop behind :func:`refine` and :func:`refine_mean`.
 
-    ``rule`` is 's_minus', 's_plus' or 'mean'.  Levels n0, 2*n0, ... up
-    to max_n come from :func:`cubature._levels`, so each costs one grid
-    pass (shared by both rules for 'mean') and the trace integrals are
-    computed once per solve.
+    ``rule`` is 's_minus', 's_plus' or 'mean'.  The levels
+    :func:`_level_schedule` picks come from one :func:`cubature._levels`
+    call, so each costs one grid pass (shared by both rules for 'mean')
+    and the trace integrals are computed once per solve.
     """
-    ns = [n0 << k for k in range((max_n // n0).bit_length())]
+    levels: List[RefinementLevel] = []
+    ns = _level_schedule(rule, tol, n0, max_n, levels)
     rules = ("s_plus", "s_minus") if rule == "mean" else (rule,)
-    levels = []
     termination = "max_n_reached"
-    for n, values in zip(ns, _levels(F, iv, rules, ns, trace_tol)):
+    for values in _levels(F, iv, rules, ns, trace_tol):
+        n = values[rules[0]].n
         diff = bound = table = certified = None
         if rule == "mean":
             lo, hi = values["s_plus"], values["s_minus"]
@@ -129,7 +198,7 @@ def _refine(
             estimate, budget = values[rule].value, values[rule].trace_err_budget
         if levels:
             diff = estimate - levels[-1].estimate
-            if rule != "mean":
+            if rule != "mean" and 2 * levels[-1].n == n:
                 bound = _bound_factor(rule, levels[-1].n) * abs(diff)
                 table = 0.5 * abs(diff) if rule == "s_minus" else bound
                 certified = bound + budget
@@ -164,14 +233,22 @@ def refine(
     max_n: int = 1024,
     trace_tol: float = 1e-12,
 ) -> RefinementReport:
-    """Double the mesh until the a posteriori bound meets the tolerance.
+    """Refine the mesh until the a posteriori bound meets the tolerance.
 
-    Runs the requested one-sided rule at n0, 2*n0, 4*n0, ... and stops
-    at the first level whose certified bound plus trace budget is at
-    most ``tol``, or once the next doubling would exceed ``max_n``
-    (termination 'max_n_reached'; the report still carries the best
-    value and bound).  The integrand must declare its mixed-derivative
-    sign, since the bounds only hold for one-signed derivatives.
+    Runs the requested one-sided rule at n0 and 2*n0, then predicts from
+    the last pair's bound B and trace budget the coarse level
+    ``m' = ceil(m * sqrt(B / (tol - budget)) * 1.05)`` (even for
+    's_minus', at most max_n/2) and runs m' and 2*m', predicting again
+    while a pair falls short.  It stops at the first pair whose certified
+    bound plus trace budget is at most ``tol``.  A tolerance at or below
+    the trace budget sends it straight to the cap pair, and it ends with
+    'max_n_reached' once the cap pair misses ``tol`` (the report still
+    carries the best value and bound).  Only a row whose previous row is
+    its half level, such as the finer row of each pair, carries
+    ``aposteriori_bound`` and ``table_bound``.
+
+    The integrand must declare its mixed-derivative sign, since the
+    bounds only hold for one-signed derivatives.
     """
     _validate_refine_args(F, rule, n0, tol, max_n)
     return _refine(F, iv, rule, tol, n0, max_n, trace_tol)
@@ -192,7 +269,9 @@ def refine_mean(
     plus the larger trace budget, i.e. half the width of
     :func:`enclosure` at that level; it is valid already at the
     coarsest level because the true integral lies between the two rule
-    values.
+    values, so every row carries it.  The levels are n0 and then one at
+    a time, each predicted from the last half gap by the n^-2 rate,
+    rounded up to even and at most max_n.
     """
     _validate_refine_args(F, "s_minus", n0, tol, max_n)
     return _refine(F, iv, "mean", tol, n0, max_n, trace_tol)

@@ -1,16 +1,19 @@
-"""Tests for the doubling driver and its certified stopping bounds."""
+"""Tests for the refinement driver, its predicted levels and its
+certified stopping bounds."""
 import dataclasses
 import math
 
 import pytest
-from hypothesis import given
+import numpy as np
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import trapcube.adaptive as adaptive
 import trapcube.cubature as cubature
 from trapcube.adaptive import definite_pair_bounds, refine, refine_mean
 from trapcube.cli import BUILTINS
 from trapcube.cubature import TRACE_IDS, Integrand2D, enclosure, s_minus, s_plus
-from trapcube.oracle import ref_exp_integral, ref_sin_integral
+from trapcube.oracle import brute_force_integral, ref_exp_integral, ref_sin_integral
 from trapcube.univariate import Interval
 
 UNIT = Interval(0.0, 1.0)
@@ -19,14 +22,16 @@ SIN = Integrand2D(f=lambda x, y: math.sin(x * y), d22_sign="nonpositive")
 
 
 def test_refine_minus_level_sequence_and_stop():
+    """The pair (4, 8) predicts the pair (18, 36), which meets tol."""
     report = refine(EXP, UNIT, "s_minus", tol=1e-4)
-    assert [lv.n for lv in report.levels] == [4, 8, 16, 32]
+    assert [lv.n for lv in report.levels] == [4, 8, 18, 36]
     assert report.termination == "tolerance_met"
-    assert report.final_n == 32
+    assert report.final_n == 36
     assert report.final_value == report.levels[-1].estimate
     # final bound = |diff| + 2e-12 Romberg trace budget
-    assert report.final_bound == pytest.approx(8.619280484549725e-05, rel=1e-9)
-    assert report.levels[-1].table_bound == pytest.approx(4.309640142274862e-05, rel=1e-9)
+    assert report.final_bound == pytest.approx(6.803143380489358e-05, rel=1e-9)
+    assert report.levels[-1].table_bound == pytest.approx(3.4015715902446786e-05, rel=1e-9)
+    assert abs(report.final_value - ref_exp_integral().value) <= report.final_bound
 
 
 def test_refine_first_level_has_no_bound():
@@ -37,18 +42,26 @@ def test_refine_first_level_has_no_bound():
     assert first.table_bound is None
 
 
+def _half_level_pairs(report):
+    """Consecutive rows (m, 2m): the rows that carry a one-sided bound."""
+    pairs = [(p, lv) for p, lv in zip(report.levels, report.levels[1:]) if 2 * p.n == lv.n]
+    assert pairs
+    return pairs
+
+
 def test_refine_bound_columns_minus():
     report = refine(EXP, UNIT, "s_minus", tol=1e-5)
     for prev, lv in zip(report.levels, report.levels[1:]):
+        assert lv.diff_to_previous == lv.estimate - prev.estimate
+    for prev, lv in _half_level_pairs(report):
         diff = lv.estimate - prev.estimate
-        assert lv.diff_to_previous == diff
         assert lv.aposteriori_bound == abs(diff)
         assert lv.table_bound == 0.5 * abs(diff)
 
 
 def test_refine_bound_columns_plus_carry_the_level_factor():
     report = refine(EXP, UNIT, "s_plus", tol=1e-5)
-    for prev, lv in zip(report.levels, report.levels[1:]):
+    for prev, lv in _half_level_pairs(report):
         factor = (4.0 * prev.n - 1.0) / (4.0 * prev.n - 3.0)
         assert lv.aposteriori_bound == pytest.approx(factor * abs(lv.diff_to_previous), rel=1e-15)
         assert lv.table_bound == lv.aposteriori_bound
@@ -61,11 +74,11 @@ def test_refine_bound_columns_plus_carry_the_level_factor():
     (SIN, ref_sin_integral, "s_plus"),
 ])
 def test_certified_bound_dominates_true_error(F, ref, rule):
-    """The whole point: every refined level's bound covers its true error."""
+    """The whole point: every bound a level carries covers its true error."""
     reference = ref().value
     report = refine(F, UNIT, rule, tol=1e-6, trace_tol=1e-13)
     assert report.termination == "tolerance_met"
-    for lv in report.levels[1:]:
+    for _, lv in _half_level_pairs(report):
         true_error = abs(reference - lv.estimate)
         assert true_error <= lv.aposteriori_bound + lv.trace_budget + 1e-15
 
@@ -134,7 +147,8 @@ def test_refine_mean_bound_is_half_the_enclosure_width():
     edges = ("left", "right", "down", "up")
     F = dataclasses.replace(F, exact_traces={tid: F.exact_traces[tid] for tid in edges})
     report = refine_mean(F, UNIT, tol=1e-6, max_n=64, trace_tol=1e-4)
-    assert [lv.n for lv in report.levels] == [4, 8, 16, 32, 64]
+    # The trace budget alone exceeds tol, so level 4 predicts the cap.
+    assert [lv.n for lv in report.levels] == [4, 64]
     for lv in report.levels:
         enc = enclosure(F, UNIT, lv.n, lv.n, 1e-4)
         assert enc.slack > 0.0
@@ -188,15 +202,15 @@ def test_definite_pair_bounds_reproduce_the_refine_bounds():
 def test_refine_evaluates_each_level_grid_once_with_exact_traces(counted_exp_xy):
     F, calls = counted_exp_xy
     report = refine(F, UNIT, "s_minus", tol=1e-4, n0=4)
-    assert [lv.n for lv in report.levels] == [4, 8, 16, 32]
-    assert calls[0] == 25 + 81 + 289 + 1089
+    assert [lv.n for lv in report.levels] == [4, 8, 18, 36]
+    assert calls[0] == 25 + 81 + 361 + 1369
     for solve in (
         lambda: refine(F, UNIT, "s_plus", tol=1e-6, n0=4),
         lambda: refine_mean(F, UNIT, tol=1e-6, n0=4),
     ):
         calls[0] = 0
         report = solve()
-        assert len(report.levels) >= 4
+        assert len(report.levels) >= 2
         assert calls[0] == sum((lv.n + 1) ** 2 for lv in report.levels)
 
 
@@ -216,7 +230,7 @@ def test_refine_integrates_each_trace_once_per_solve(monkeypatch, rule, traces):
         report = refine_mean(EXP, UNIT, tol=1e-6)
     else:
         report = refine(EXP, UNIT, rule, tol=1e-6)
-    assert len(report.levels) >= 3
+    assert len(report.levels) >= 2
     assert len(calls) == traces
 
 
@@ -232,3 +246,147 @@ def test_non_finite_exact_traces_are_refused():
         enclosure(F, UNIT, 4, 4)
     with pytest.raises(ValueError, match="exact trace integral returned non-finite value nan"):
         refine(F, UNIT, "s_minus", 1e-3, max_n=16)
+
+
+# --------------------------------------------------------------------------
+# Predicted levels.
+
+
+def _solve(F, iv, rule, tol, **kwargs):
+    if rule == "mean":
+        return refine_mean(F, iv, tol, **kwargs)
+    return refine(F, iv, rule, tol, **kwargs)
+
+
+def _assert_pair_rows(report):
+    """Only a row whose previous row is its half level carries a bound;
+    every 'mean' row carries one."""
+    mean = report.rule == "mean"
+    previous = [None] + [lv.n for lv in report.levels[:-1]]
+    for prev_n, lv in zip(previous, report.levels):
+        has_bound = mean or (prev_n is not None and 2 * prev_n == lv.n)
+        assert (lv.aposteriori_bound is not None) == has_bound
+        assert (lv.table_bound is not None) == (has_bound and not mean)
+
+
+_RULE = st.sampled_from(["s_minus", "s_plus", "mean"])
+_TOL = st.floats(min_value=-7.0, max_value=-3.0).map(lambda e: 10.0**e)
+
+
+def _assert_certified_against_oracle(report, tol, ref):
+    assert report.termination == "tolerance_met"
+    assert report.final_bound <= tol
+    assert abs(report.final_value - ref) <= report.final_bound + 1e-12 * abs(ref)
+    _assert_pair_rows(report)
+
+
+@given(
+    rule=_RULE,
+    tol=_TOL,
+    k=st.floats(min_value=0.5, max_value=2.0),
+    a=st.floats(min_value=0.0, max_value=0.5),
+    w=st.floats(min_value=0.1, max_value=0.5),
+)
+@settings(max_examples=40, deadline=None)
+def test_predicted_levels_certify_scalar_exp_with_romberg_traces(rule, tol, k, a, w):
+    """D22 exp(kxy) >= 0 wherever xy >= 0, so the sign is proven here."""
+    iv = Interval(a, a + w)
+    F = Integrand2D(f=lambda x, y: math.exp(k * x * y), d22_sign="nonnegative")
+    report = _solve(F, iv, rule, tol, max_n=4096)
+    ref = brute_force_integral(lambda x, y: np.exp(k * x * y), iv, 6)
+    _assert_certified_against_oracle(report, tol, ref)
+
+
+@given(
+    fn_id=st.sampled_from(["exp_xy", "sin_xy"]),
+    rule=_RULE,
+    tol=_TOL,
+    a=st.floats(min_value=-0.5, max_value=0.9),
+    w=st.floats(min_value=0.1, max_value=0.6),
+)
+@settings(max_examples=40, deadline=None)
+def test_predicted_levels_certify_vectorized_builtins(fn_id, rule, tol, a, w):
+    builtin = BUILTINS[fn_id]
+    iv = Interval(a, a + w)
+    assume(builtin.proven(iv.a, iv.b))
+    report = _solve(builtin.integrand, iv, rule, tol, max_n=4096)
+    ref = brute_force_integral(builtin.integrand.f, iv, 6)
+    _assert_certified_against_oracle(report, tol, ref)
+
+
+@pytest.mark.parametrize("rule,tol", [
+    ("s_minus", 1e-6), ("s_plus", 1e-6), ("mean", 1e-6), ("s_minus", 1e-4), ("mean", 1e-4),
+])
+def test_predicted_levels_count_only_grid_points(counted_exp_xy, rule, tol):
+    """With exact traces f is called once per grid point of each reported
+    level: even levels put the mid-lines on the grid, so the mid-line
+    rule makes no off-grid calls."""
+    F, calls = counted_exp_xy
+    report = _solve(F, UNIT, rule, tol, max_n=4096)
+    assert report.termination == "tolerance_met"
+    assert calls[0] == sum((lv.n + 1) ** 2 for lv in report.levels)
+    if rule != "s_plus":
+        assert all(lv.n % 2 == 0 for lv in report.levels)
+
+
+def test_predicted_levels_evaluate_fewer_points_than_doubling(counted_exp_xy):
+    """Doubling from n0 = 4 would stop at the first power-of-two pair
+    whose difference meets tol, (256, 512) here, after 351,568 points."""
+    F, calls = counted_exp_xy
+    report = refine(F, UNIT, "s_minus", 1e-6, max_n=4096)
+    assert [lv.n for lv in report.levels] == [4, 8, 162, 324]
+    assert calls[0] == 132_300
+    ns = [4]
+    values = [s_minus(F, UNIT, 4).value]
+    while len(values) < 2 or abs(values[-1] - values[-2]) > 1e-6:
+        ns.append(2 * ns[-1])
+        values.append(s_minus(F, UNIT, ns[-1]).value)
+    assert ns[-1] == 512
+    assert sum((n + 1) ** 2 for n in ns) == 351_568
+
+
+@pytest.mark.parametrize("rule", ["s_minus", "s_plus"])
+def test_predicted_levels_end_on_the_cap_pair_below_the_trace_budget(rule):
+    """A tolerance under the Romberg budget cannot be met at any level, so
+    the refinement goes straight from (n0, 2 n0) to (max_n/2, max_n)."""
+    report = refine(EXP, UNIT, rule, 1e-13, max_n=64)
+    assert report.levels[-1].trace_budget > 1e-13
+    assert report.termination == "max_n_reached"
+    assert [lv.n for lv in report.levels] == [4, 8, 32, 64]
+    assert report.final_bound == report.levels[-1].aposteriori_bound + report.levels[-1].trace_budget
+
+
+def test_predicted_mean_ends_on_the_cap_below_the_trace_budget():
+    report = refine_mean(EXP, UNIT, 1e-13, max_n=64)
+    assert report.termination == "max_n_reached"
+    assert [lv.n for lv in report.levels] == [4, 64]
+
+
+def test_predicted_levels_cap_an_unmet_tolerance_with_exact_traces():
+    """An exact-trace tolerance that max_n cannot reach: the predicted
+    pairs stop at the cap, whatever the prediction."""
+    F = BUILTINS["exp_xy"].integrand
+    report = refine(F, UNIT, "s_plus", 1e-12, max_n=16)
+    assert report.termination == "max_n_reached"
+    assert [lv.n for lv in report.levels] == [4, 8, 16]
+    report = refine(F, UNIT, "s_minus", 1e-12, max_n=20)
+    assert [lv.n for lv in report.levels] == [4, 8, 10, 20]
+
+
+@pytest.mark.parametrize("rule,levels", [
+    ("s_plus", [4, 8, 186, 372, 224, 448]),
+    ("mean", [4, 166, 192]),
+])
+def test_a_short_prediction_predicts_again(rule, levels):
+    """On exp(20(x+y)) the coarse levels are far from the n^-2 regime, so
+    the first prediction falls short and the next one is made from it."""
+    c = 20.0
+    F = Integrand2D(f=lambda x, y: np.exp(c * (x + y)), d22_sign="nonnegative", vectorized=True)
+    exact = ((math.exp(c) - 1.0) / c) ** 2
+    report = _solve(F, UNIT, rule, 1e-2 * exact, max_n=4096)
+    assert [lv.n for lv in report.levels] == levels
+    assert report.termination == "tolerance_met"
+    assert report.final_bound <= 1e-2 * exact
+    assert abs(report.final_value - exact) <= report.final_bound
+    _assert_pair_rows(report)
+

@@ -7,9 +7,10 @@ import math
 import numpy as np
 import pytest
 
+from trapcube.adaptive import refine
 from trapcube.cli import BUILTINS, main, table_rows
 from trapcube.cubature import TRACE_IDS, s_minus, s_plus
-from trapcube.oracle import brute_force_integral
+from trapcube.oracle import brute_force_integral, ref_exp_integral
 from trapcube.univariate import Interval, trace_integral
 
 
@@ -30,10 +31,12 @@ def test_builtins_are_fully_wired():
 
 
 @pytest.mark.parametrize("fn_id", sorted(BUILTINS))
-@pytest.mark.parametrize("iv", [Interval(0.0, 1.0), Interval(0.25, 1.75)])
+@pytest.mark.parametrize("iv", [Interval(0.0, 1.0), Interval(0.25, 1.75), Interval(1e-9, 0.5)])
 def test_builtin_exact_traces_match_numeric_integration(fn_id, iv):
     """The closed-form trace integrals agree with adaptive integration of
-    the actual restriction, on the default and a shifted square."""
+    the actual restriction, on the default and two shifted squares.  The
+    edges at 1e-9 freeze a coordinate where exp(cb) - exp(ca) and
+    cos(ca) - cos(cb) cancel."""
     b = BUILTINS[fn_id]
     coords = {
         "left": iv.a, "down": iv.a,
@@ -56,13 +59,24 @@ def test_help_exits_zero(capsys):
     assert code == 0
 
 
+def _library_exp_minus():
+    """The library solve behind ``integrate --fn exp_xy --rule minus --tol 1e-4``."""
+    report = refine(BUILTINS["exp_xy"].integrand, Interval(0.0, 1.0), "s_minus", tol=1e-4)
+    assert abs(report.final_value - ref_exp_integral().value) <= report.final_bound
+    return report
+
+
 def test_integrate_minus_text(capsys):
     code, out, _ = run(capsys, "integrate", "--fn", "exp_xy", "--rule", "minus", "--tol", "1e-4")
     assert code == 0
-    assert "final value: 1.3179307673555862" in out
-    assert "certified bound: 8.619280e-05" in out
-    assert "table bound: 4.309640e-05" in out
+    assert "final value: 1.3179247567793313" in out
+    assert "certified bound: 6.803143e-05" in out
+    assert "table bound: 3.401572e-05" in out
     assert "termination: tolerance_met" in out
+    assert _library_exp_minus().final_value == 1.3179247567793313
+    # Level 18 follows level 8, not its half level 9: no bound of its own.
+    row_18 = next(line.split() for line in out.splitlines() if line.split()[:1] == ["18"])
+    assert row_18[3:5] == ["-", "-"]
 
 
 def test_integrate_bilinear_converges_at_first_doubling(capsys):
@@ -99,9 +113,13 @@ def test_integrate_json_levels_and_summary(capsys):
     lines = [json.loads(l) for l in out.strip().splitlines()]
     summary = lines[-1]
     assert summary["termination"] == "tolerance_met"
-    assert summary["final_n"] == 32
-    assert [row["n"] for row in lines[:-1]] == [4, 8, 16, 32]
+    assert summary["final_n"] == 36
+    assert [row["n"] for row in lines[:-1]] == [4, 8, 18, 36]
     assert lines[1]["aposteriori_bound"] == pytest.approx(2 * lines[1]["table_bound"])
+    assert lines[2]["aposteriori_bound"] is None and lines[2]["table_bound"] is None
+    report = _library_exp_minus()
+    assert [lv.n for lv in report.levels] == [4, 8, 18, 36]
+    assert (summary["final_value"], summary["final_bound"]) == (report.final_value, report.final_bound)
 
 
 def test_json_key_order_is_pinned(capsys):
@@ -130,7 +148,8 @@ def test_integrate_csv_round_trips(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "n,estimate,diff_to_previous,aposteriori_bound,table_bound,trace_budget"
     last = lines[-1].split(",")
-    assert float(last[1]) == 1.3179307673555862
+    assert float(last[1]) == 1.3179247567793313
+    assert float(last[1]) == _library_exp_minus().final_value
 
 
 def test_integrate_usage_errors(capsys):
@@ -138,6 +157,13 @@ def test_integrate_usage_errors(capsys):
     assert run(capsys, "integrate", "--fn", "exp_xy", "--rule", "minus", "--tol", "-1")[0] == 2
     assert run(capsys, "integrate", "--fn", "exp_xy", "--rule", "minus", "--tol", "1e-4", "--a", "2", "--b", "1")[0] == 2
     assert run(capsys, "integrate", "--fn", "exp_xy", "--rule", "minus", "--tol", "1e-4", "--n0", "8", "--max-n", "8")[0] == 2
+    # An unreachable tolerance sends the refinement to the cap, so the cap
+    # itself is bounded.
+    code, out, err = run(
+        capsys, "integrate", "--fn", "exp_xy", "--rule", "plus", "--tol", "1e-15", "--max-n", "100000000"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: max-n must be at most 16384, got 100000000\n"
 
 
 @pytest.mark.parametrize("fn_id,a,b,proven", [

@@ -25,6 +25,7 @@ F = Integrand2D(f=lambda x, y: math.exp(x * y), d22_sign="nonnegative")
 enclosure(F, iv, 4, 4)
 enclosure(F, iv, 4, 8)
 refine(F, iv, "s_plus", tol=1e-3)
+refine(F, iv, "s_minus", tol=1e-6)
 refine_mean(F, iv, tol=1e-3)
 s_minus(F, iv, 5)
 s_plus(F, iv, 5)
