@@ -33,7 +33,6 @@ from .kernels import (
     k22_s_plus,
     phi,
     psi,
-    sharpness_g,
 )
 from .oracle import (
     ReferenceValue,
@@ -86,7 +85,6 @@ __all__ = [
     "refine_mean",
     "s_minus",
     "s_plus",
-    "sharpness_g",
     "trace_integral",
     "trapezium_rule",
     "__version__",

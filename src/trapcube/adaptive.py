@@ -8,21 +8,21 @@ finer value's true error:
     mid-line rule:  |error at 2m| <= |S(2m) - S(m)|
     edge rule:      |error at 2m| <= (4m-1)/(4m-3) * |S(2m) - S(m)|
 
-Both inequalities are sharp up to their stated constants, so the driver
-stops as soon as the bound (plus any trace-integration budget) drops
-below the requested tolerance.  Printed convergence tables customarily
-show half the mid-line difference, since the monotone halving makes the
-finer error at most half the coarser one; :class:`RefinementLevel`
-carries the certified bound and the table quantity side by side under
-distinct names.
+Both inequalities are sharp up to their stated constants.  The mean of
+the two rules is bounded by their half gap at any single level.  For
+every rule the certified bound is that bound plus the trace-integration
+budget, and the driver stops as soon as it is at most the requested
+tolerance.  Printed convergence tables customarily show half the
+mid-line difference, since the monotone halving makes the finer error
+at most half the coarser one; :class:`RefinementLevel` carries the
+bound and the table quantity side by side under distinct names.
 
 The tolerance picks the levels.  The driver runs n0 and 2*n0, then
 takes the n^-2 rate of :func:`cubature.error_constant` to predict from
 the last pair's bound the coarse level m whose pair (m, 2m) meets the
 tolerance, and evaluates that pair; a pair that falls short predicts
 again.  Only a row whose previous row is its half level carries a
-bound.  The mean of the two rules is bounded by their half gap at any
-single level, so it runs n0 and then one predicted level at a time.
+bound.  The mean runs n0 and then one predicted level at a time.
 """
 from __future__ import annotations
 
@@ -42,7 +42,6 @@ __all__ = [
 ]
 
 _RULES = ("s_minus", "s_plus")
-_PAIR_KINDS = ("pos_pair", "neg_pair")
 
 #: Safety factor on a predicted level: the n^-2 rate ignores the higher
 #: order terms of the error constant and the variation of D22 f.
@@ -53,18 +52,18 @@ _PREDICTION_MARGIN = 1.05
 class RefinementLevel:
     """One level of a refinement.
 
-    ``aposteriori_bound`` is the error bound for this level's estimate.
-    For 'mean' it is the certified bound: half the enclosure's width,
-    ``trace_budget`` included.  For 's_minus' and 's_plus' it is the
-    bound from the difference to the previous level alone, and the
-    certified bound is ``aposteriori_bound + trace_budget``, as in the
-    report's ``final_bound``.  ``table_bound`` is the quantity
-    convergence tables print (half the difference for the mid-line
-    rule, the same bound for the edge rule).  For the one-sided rules
-    both are set only on a row whose previous row is level n/2, such as
-    the finer row of each pair (m, 2m) the refinement evaluates.
-    ``table_bound`` is always None for 'mean', and every 'mean' row
-    carries its bound.
+    ``aposteriori_bound`` is the error bound for this level's estimate
+    from the rule values alone: the pair bound from the difference to
+    the previous level for 's_minus' and 's_plus', half the gap
+    ``0.5 * |S_minus - S_plus|`` between the two rules for 'mean'.  For
+    every rule the certified bound is ``aposteriori_bound +
+    trace_budget``, as in the report's ``final_bound``.
+    ``table_bound`` is the quantity convergence tables print (half the
+    difference for the mid-line rule, the same bound for the edge
+    rule).  For the one-sided rules both are set only on a row whose
+    previous row is level n/2, such as the finer row of each pair
+    (m, 2m) the refinement evaluates.  ``table_bound`` is always None
+    for 'mean', and every 'mean' row carries its bound.
     """
 
     n: int
@@ -79,29 +78,35 @@ class RefinementLevel:
 class RefinementReport:
     rule: str
     levels: Tuple[RefinementLevel, ...]
-    final_value: float
-    final_bound: float
     termination: str  # 'tolerance_met' or 'max_n_reached'
 
     @property
     def final_n(self) -> int:
         return self.levels[-1].n
 
+    @property
+    def final_value(self) -> float:
+        return self.levels[-1].estimate
 
-def _bound_factor(rule: str, n_coarse: int) -> float:
-    """Constant multiplying |S(2n) - S(n)| in the certified bound."""
-    if rule == "s_minus":
-        return 1.0
-    return (4.0 * n_coarse - 1.0) / (4.0 * n_coarse - 3.0)
+    @property
+    def final_bound(self) -> float:
+        last = self.levels[-1]
+        return last.aposteriori_bound + last.trace_budget
 
 
-def _validate_refine_args(F: Integrand2D, rule: str, n0: int, tol: float, max_n: int) -> None:
+def _pair_bounds(rule: str, n: int, coarse: float, fine: float) -> Tuple[float, float]:
+    """The bound on the error of S(2n) = ``fine`` from S(n) = ``coarse``,
+    and the table column: half the mid-line bound, the edge bound itself."""
+    c = 1.0 if rule == "s_minus" else (4.0 * n - 1.0) / (4.0 * n - 3.0)
+    bound = definite_pair_bounds(c, fine, coarse)[0]
+    return bound, 0.5 * bound if rule == "s_minus" else bound
+
+
+def _validate_refine_args(F: Integrand2D, n0: int, tol: float, max_n: int) -> None:
     if F.d22_sign is None:
         raise ValueError(
             "definiteness not declared: Integrand2D.d22_sign is required"
         )
-    if rule not in _RULES:
-        raise ValueError(f"rule must be one of {_RULES}, got {rule!r}")
     if n0 < 1:
         raise ValueError(f"starting level must be >= 1, got {n0}")
     if not tol > 0.0:
@@ -136,8 +141,10 @@ def _level_schedule(
 
     The refinement loop appends a row to ``levels`` before it asks for
     the next level, so each prediction reads the last bound.  The mid-line
-    rule, alone or in the mean, gets even levels, whose mid-lines are grid
-    lines.  The iterator ends once the next level would not be finer,
+    rule, alone or in the mean, gets even levels, so that its mid-lines
+    can be grid lines; they are only where node n/2 rounds to the
+    interval midpoint, and elsewhere the grid pass evaluates them off the
+    grid.  The iterator ends once the next level would not be finer,
     which happens only at the cap.
     """
     even = rule != "s_plus"
@@ -146,9 +153,7 @@ def _level_schedule(
         cap = max_n - max_n % 2
         while True:
             last = levels[-1]
-            n = _predict(
-                last.n, last.aposteriori_bound - last.trace_budget, last.trace_budget, tol, cap, even
-            )
+            n = _predict(last.n, last.aposteriori_bound, last.trace_budget, tol, cap, even)
             if n <= last.n:
                 return
             yield n
@@ -188,20 +193,18 @@ def _refine(
     termination = "max_n_reached"
     for values in _levels(F, iv, rules, ns, trace_tol):
         n = values[rules[0]].n
-        diff = bound = table = certified = None
+        diff = bound = table = None
         if rule == "mean":
             lo, hi = values["s_plus"], values["s_minus"]
             estimate = 0.5 * (lo.value + hi.value)
             budget = max(lo.trace_err_budget, hi.trace_err_budget)
-            bound = certified = 0.5 * abs(hi.value - lo.value) + budget
+            bound = 0.5 * abs(hi.value - lo.value)
         else:
             estimate, budget = values[rule].value, values[rule].trace_err_budget
         if levels:
             diff = estimate - levels[-1].estimate
             if rule != "mean" and 2 * levels[-1].n == n:
-                bound = _bound_factor(rule, levels[-1].n) * abs(diff)
-                table = 0.5 * abs(diff) if rule == "s_minus" else bound
-                certified = bound + budget
+                bound, table = _pair_bounds(rule, levels[-1].n, levels[-1].estimate, estimate)
         levels.append(
             RefinementLevel(
                 n=n,
@@ -212,16 +215,10 @@ def _refine(
                 trace_budget=budget,
             )
         )
-        if certified is not None and certified <= tol:
+        if bound is not None and bound + budget <= tol:
             termination = "tolerance_met"
             break
-    return RefinementReport(
-        rule=rule,
-        levels=tuple(levels),
-        final_value=estimate,
-        final_bound=certified,
-        termination=termination,
-    )
+    return RefinementReport(rule=rule, levels=tuple(levels), termination=termination)
 
 
 def refine(
@@ -240,17 +237,19 @@ def refine(
     ``m' = ceil(m * sqrt(B / (tol - budget)) * 1.05)`` (even for
     's_minus', at most max_n/2) and runs m' and 2*m', predicting again
     while a pair falls short.  It stops at the first pair whose certified
-    bound plus trace budget is at most ``tol``.  A tolerance at or below
-    the trace budget sends it straight to the cap pair, and it ends with
-    'max_n_reached' once the cap pair misses ``tol`` (the report still
-    carries the best value and bound).  Only a row whose previous row is
-    its half level, such as the finer row of each pair, carries
-    ``aposteriori_bound`` and ``table_bound``.
+    bound, the pair bound plus the trace budget, is at most ``tol``.  A
+    tolerance at or below the trace budget sends it straight to the cap
+    pair, and it ends with 'max_n_reached' once the cap pair misses
+    ``tol`` (the report still carries the best value and bound).  Only a
+    row whose previous row is its half level, such as the finer row of
+    each pair, carries ``aposteriori_bound`` and ``table_bound``.
 
     The integrand must declare its mixed-derivative sign, since the
     bounds only hold for one-signed derivatives.
     """
-    _validate_refine_args(F, rule, n0, tol, max_n)
+    if rule not in _RULES:
+        raise ValueError(f"rule must be one of {_RULES}, got {rule!r}")
+    _validate_refine_args(F, n0, tol, max_n)
     return _refine(F, iv, rule, tol, n0, max_n, trace_tol)
 
 
@@ -265,21 +264,19 @@ def refine_mean(
     """Refine the midpoint of the two-sided enclosure.
 
     At each level both one-sided rules run on the same mesh; the
-    estimate is their mean and the certified bound is half their gap
-    plus the larger trace budget, i.e. half the width of
-    :func:`enclosure` at that level; it is valid already at the
-    coarsest level because the true integral lies between the two rule
-    values, so every row carries it.  The levels are n0 and then one at
-    a time, each predicted from the last half gap by the n^-2 rate,
-    rounded up to even and at most max_n.
+    estimate is their mean, ``aposteriori_bound`` is half their gap, and
+    the certified bound is that plus the larger trace budget, i.e. half
+    the width of :func:`enclosure` at that level.  It is valid already
+    at the coarsest level because the true integral lies between the two
+    rule values, so every row carries it.  The levels are n0 and then one
+    at a time, each predicted from the last half gap and budget by the
+    n^-2 rate, rounded up to even and at most max_n.
     """
-    _validate_refine_args(F, "s_minus", n0, tol, max_n)
+    _validate_refine_args(F, n0, tol, max_n)
     return _refine(F, iv, "mean", tol, n0, max_n, trace_tol)
 
 
-def definite_pair_bounds(
-    pair_kind: str, c: float, s_prime: float, s_doubleprime: float
-) -> Tuple[float, float]:
+def definite_pair_bounds(c: float, s_prime: float, s_doubleprime: float) -> Tuple[float, float]:
     """Error bounds for a definite pair of rules from their difference.
 
     If S' - S'' has one-signed bivariate kernel and the comparison
@@ -288,12 +285,8 @@ def definite_pair_bounds(
         |error of S'|  <= c       * |S' - S''|
         |error of S''| <= (c + 1) * |S' - S''|
 
-    ``pair_kind`` records the orientation ('pos_pair' when the pair's
-    kernels are nonnegative, 'neg_pair' when nonpositive); the returned
-    magnitudes are the same either way.
+    whether the pair's kernels are nonnegative or nonpositive.
     """
-    if pair_kind not in _PAIR_KINDS:
-        raise ValueError(f"pair_kind must be one of {_PAIR_KINDS}, got {pair_kind!r}")
     if not 0.0 < c < math.inf:
         raise ValueError(f"comparison constant must be finite and positive, got {c!r}")
     gap = abs(s_prime - s_doubleprime)

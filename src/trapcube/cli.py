@@ -35,7 +35,7 @@ import sys
 from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .adaptive import RefinementReport, _bound_factor, refine, refine_mean
+from .adaptive import RefinementReport, _pair_bounds, refine, refine_mean
 from .cubature import _TRACE_LINES, Integrand2D, _levels
 from .kernels import SCAN_SLACK_FACTOR, KernelSpec, ScanReport, definiteness_scan
 from .oracle import ReferenceValue, ref_exp_integral, ref_sin_integral
@@ -87,8 +87,10 @@ def _traces(line_integral: Callable[[float, Interval], float]) -> Dict[str, Call
 # the width), so the line integrals use their product forms.
 
 def _exp_line(c: float, iv: Interval) -> float:
-    if c == 0.0:
-        return iv.width
+    # Where c * width is subnormal or 0 (at c = 5e-324 it is 0), the
+    # quotient below loses its digits, but exp(c t) is exp(c a) on all of iv.
+    if abs(c * iv.width) < sys.float_info.min:
+        return iv.width * math.exp(c * iv.a)
     return math.exp(c * iv.a) * math.expm1(c * iv.width) / c
 
 
@@ -218,8 +220,8 @@ def table_rows(fn_id: str, n_list: Sequence[int]) -> Tuple[ReferenceValue, List[
 
     Per level n: the true remainders (reference minus rule value) of
     both one-sided rules, half the mid-line difference to level 2n, and
-    the edge rule's certified bound (4n-1)/(4n-3) |S(2n) - S(n)|.  Each
-    distinct level's grid is evaluated once, for both rules.
+    the edge rule's pair bound from levels n and 2n.  Each distinct
+    level's grid is evaluated once, for both rules.
     """
     builtin = BUILTINS.get(fn_id)
     if builtin is None or builtin.reference is None:
@@ -240,9 +242,9 @@ def table_rows(fn_id: str, n_list: Sequence[int]) -> Tuple[ReferenceValue, List[
         TableRow(
             n=n,
             rem_minus=reference.value - minus[n],
-            half_diff_minus=0.5 * abs(minus[2 * n] - minus[n]),
+            half_diff_minus=_pair_bounds("s_minus", n, minus[n], minus[2 * n])[1],
             rem_plus=reference.value - plus[n],
-            bound_plus=_bound_factor("s_plus", n) * abs(plus[2 * n] - plus[n]),
+            bound_plus=_pair_bounds("s_plus", n, plus[n], plus[2 * n])[1],
         )
         for n in n_list
     ]

@@ -12,9 +12,8 @@ the adaptive driver reduce to a sign claim about the comparison kernel
 nonnegative for the mid-line rule exactly when ``c >= 1`` and
 nonpositive for the edge rule exactly when ``c >= (4n-1)/(4n-3)``.
 Those thresholds are best possible; :func:`definiteness_scan` checks
-both directions numerically on uniform grids, and :func:`psi` /
-:func:`sharpness_g` expose the local polynomials that make the
-thresholds visible in closed form.
+both directions numerically on uniform grids, and :func:`psi` exposes
+the local polynomials that make the thresholds visible in closed form.
 """
 from __future__ import annotations
 
@@ -38,7 +37,6 @@ __all__ = [
     "phi",
     "definiteness_scan",
     "psi",
-    "sharpness_g",
 ]
 
 _KERNEL_KINDS = ("k22_s_minus", "k22_s_plus", "phi_minus", "phi_plus")
@@ -284,28 +282,3 @@ def psi(variant: str, k: int, l: int, n: int, c: float, u: float, v: float) -> f
         )
     raise ValueError(f"unknown variant {variant!r} (expected 'minus' or 'plus')")
 
-
-def sharpness_g(k: int, n: int, c: float, u: float) -> float:
-    """Diagonal trace of the mid-line comparison kernel on cell (k, k).
-
-    With ``h = 1/(2n)`` on the unit square,
-
-        g(u) = h^4 [ 2 (2k+u)^2 u (u-1+c) - u^2 (1-u)^2 + c u^2 (3-2u) ]
-
-    has ``g(0) = 0`` and ``g'(0) = 8 (c-1) h^4 k^2``, so for every
-    ``c < 1`` it dips negative just inside the cell: the constant 1 in
-    the halving inequality of the mid-line rule cannot be improved.
-    Meaningful for diagonal cells with ``1 <= k <= (n-1)/2``.
-    """
-    if not 0.0 <= u <= 1.0:
-        raise ValueError(f"local coordinate {u!r} outside [0, 1]")
-    if k < 1 or 2 * k + 1 > n:
-        raise ValueError(
-            f"diagonal cell index must satisfy 1 <= k <= (n-1)/2, got k={k}, n={n}"
-        )
-    h4 = (0.5 / n) ** 4
-    return h4 * (
-        2.0 * (2 * k + u) ** 2 * u * (u - 1.0 + c)
-        - u * u * (1.0 - u) ** 2
-        + c * u * u * (3.0 - 2.0 * u)
-    )

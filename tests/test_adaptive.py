@@ -5,13 +5,13 @@ import math
 
 import pytest
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import trapcube.adaptive as adaptive
 import trapcube.cubature as cubature
 from trapcube.adaptive import definite_pair_bounds, refine, refine_mean
-from trapcube.cli import BUILTINS
+from trapcube.cli import BUILTINS, table_rows
 from trapcube.cubature import TRACE_IDS, Integrand2D, enclosure, s_minus, s_plus
 from trapcube.oracle import brute_force_integral, ref_exp_integral, ref_sin_integral
 from trapcube.univariate import Interval
@@ -141,8 +141,9 @@ def test_refine_mean_max_n_reached():
 
 def test_refine_mean_bound_is_half_the_enclosure_width():
     """With exact edge traces and Romberg mid-lines the two rules carry
-    unequal trace budgets; the mean's bound adds the larger one, which is
-    the enclosure's slack."""
+    unequal trace budgets.  The mean's bound is half the rules' gap, and
+    the certified bound adds the larger budget, which is the enclosure's
+    slack."""
     F = BUILTINS["exp_xy"].integrand
     edges = ("left", "right", "down", "up")
     F = dataclasses.replace(F, exact_traces={tid: F.exact_traces[tid] for tid in edges})
@@ -153,7 +154,11 @@ def test_refine_mean_bound_is_half_the_enclosure_width():
         enc = enclosure(F, UNIT, lv.n, lv.n, 1e-4)
         assert enc.slack > 0.0
         assert lv.trace_budget == enc.slack
-        assert lv.aposteriori_bound == pytest.approx(0.5 * (enc.upper - enc.lower), rel=1e-12)
+        gap = s_minus(F, UNIT, lv.n, 1e-4).value - s_plus(F, UNIT, lv.n, 1e-4).value
+        assert lv.aposteriori_bound == 0.5 * abs(gap)
+        assert lv.aposteriori_bound + lv.trace_budget == pytest.approx(
+            0.5 * (enc.upper - enc.lower), rel=1e-12
+        )
 
 
 def test_refine_mean_beats_both_one_sided_rules_here():
@@ -168,20 +173,15 @@ def test_refine_mean_beats_both_one_sided_rules_here():
     s2=st.floats(min_value=-100, max_value=100),
 )
 def test_definite_pair_bounds_arithmetic(c, s1, s2):
-    tight, loose = definite_pair_bounds("pos_pair", c, s1, s2)
+    tight, loose = definite_pair_bounds(c, s1, s2)
     assert tight == c * abs(s1 - s2)
     assert loose == (c + 1.0) * abs(s1 - s2)
-    assert definite_pair_bounds("neg_pair", c, s1, s2) == (tight, loose)
 
 
 def test_definite_pair_bounds_validation():
-    with pytest.raises(ValueError):
-        definite_pair_bounds("mixed_pair", 1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        definite_pair_bounds("pos_pair", 0.0, 0.0, 1.0)
-    for c in (math.inf, math.nan):
+    for c in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="finite and positive"):
-            definite_pair_bounds("pos_pair", c, 1.0, 1.0)
+            definite_pair_bounds(c, 1.0, 1.0)
 
 
 def test_definite_pair_bounds_reproduce_the_refine_bounds():
@@ -189,14 +189,37 @@ def test_definite_pair_bounds_reproduce_the_refine_bounds():
     comparison constant: 1 for mid-line, (4n-1)/(4n-3) for edge."""
     report = refine(EXP, UNIT, "s_minus", tol=1e-5)
     lv_prev, lv = report.levels[-2], report.levels[-1]
-    tight, _ = definite_pair_bounds("neg_pair", 1.0, lv.estimate, lv_prev.estimate)
+    tight, _ = definite_pair_bounds(1.0, lv.estimate, lv_prev.estimate)
     assert tight == lv.aposteriori_bound
 
     report_p = refine(EXP, UNIT, "s_plus", tol=1e-5)
     lv_prev, lv = report_p.levels[-2], report_p.levels[-1]
     c = (4.0 * lv_prev.n - 1.0) / (4.0 * lv_prev.n - 3.0)
-    tight_p, _ = definite_pair_bounds("pos_pair", c, lv.estimate, lv_prev.estimate)
-    assert tight_p == pytest.approx(lv.aposteriori_bound, rel=1e-15)
+    tight_p, _ = definite_pair_bounds(c, lv.estimate, lv_prev.estimate)
+    assert tight_p == lv.aposteriori_bound
+
+
+@pytest.mark.parametrize("rule", ["s_minus", "s_plus", "mean"])
+@pytest.mark.parametrize("F", [EXP, BUILTINS["exp_xy"].integrand], ids=["romberg", "exact"])
+def test_final_value_and_bound_are_the_last_rows(F, rule):
+    """For every rule the certified bound is the row's bound plus its
+    trace budget, and the report's final figures are the last row's."""
+    for tol in (1e-4, 1e-15):
+        report = _solve(F, UNIT, rule, tol, max_n=64)
+        last = report.levels[-1]
+        assert report.final_value == last.estimate
+        assert report.final_bound == last.aposteriori_bound + last.trace_budget
+
+
+def test_table_columns_are_the_refinement_pair_bounds():
+    """`trapcube table` and `refine` take their pair bounds from one place."""
+    _, rows = table_rows("exp_xy", [4])
+    F = BUILTINS["exp_xy"].integrand
+    minus = refine(F, UNIT, "s_minus", tol=1.0, n0=4).levels[1]
+    plus = refine(F, UNIT, "s_plus", tol=1.0, n0=4).levels[1]
+    assert minus.n == plus.n == 8
+    assert rows[0].half_diff_minus == minus.table_bound
+    assert rows[0].bound_plus == plus.aposteriori_bound
 
 
 def test_refine_evaluates_each_level_grid_once_with_exact_traces(counted_exp_xy):
@@ -305,6 +328,7 @@ def test_predicted_levels_certify_scalar_exp_with_romberg_traces(rule, tol, k, a
     w=st.floats(min_value=0.1, max_value=0.6),
 )
 @settings(max_examples=40, deadline=None)
+@example(fn_id="exp_xy", rule="s_plus", tol=1e-3, a=5e-324, w=0.5)
 def test_predicted_levels_certify_vectorized_builtins(fn_id, rule, tol, a, w):
     builtin = BUILTINS[fn_id]
     iv = Interval(a, a + w)

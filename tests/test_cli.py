@@ -49,6 +49,27 @@ def test_builtin_exact_traces_match_numeric_integration(fn_id, iv):
         assert supplier(iv) == pytest.approx(numeric, rel=1e-11, abs=1e-11)
 
 
+@pytest.mark.parametrize("c", [5e-324, -5e-324, 1e-310, 4e-308])
+def test_exp_line_integral_at_a_subnormal_coordinate(c):
+    """Where c * width is subnormal, exp(c t) rounds to 1 on the whole
+    edge, so the edge integral is the width: expm1(c * width) / c would
+    give 0.0 at c = 5e-324 and 0.49999999999999994 at c = 4e-308."""
+    iv = Interval(c, 0.5)
+    assert BUILTINS["exp_xy"].integrand.exact_traces["left"](iv) == iv.width
+
+
+@pytest.mark.parametrize("rule", ["plus", "mean"])
+def test_integrate_holds_the_integral_on_a_square_with_a_subnormal_corner(capsys, rule):
+    code, out, _ = run(
+        capsys, "integrate", "--fn", "exp_xy", "--a", "5e-324", "--b", "0.5",
+        "--rule", rule, "--tol", "1e-3", "--format", "json",
+    )
+    assert code == 0
+    summary = json.loads(out.strip().splitlines()[-1])
+    truth = brute_force_integral(lambda x, y: np.exp(x * y), Interval(5e-324, 0.5), 6)
+    assert abs(summary["final_value"] - truth) <= summary["final_bound"]
+
+
 def test_no_arguments_is_a_usage_error(capsys):
     code, _, _ = run(capsys)
     assert code == 2

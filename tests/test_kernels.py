@@ -21,7 +21,6 @@ from trapcube.kernels import (
     k22_s_plus,
     phi,
     psi,
-    sharpness_g,
 )
 from trapcube.univariate import Interval
 
@@ -353,36 +352,13 @@ def test_psi_validation():
         psi("sideways", 0, 0, 4, 1.0, 0.5, 0.5)
 
 
-@given(
-    nk=st.integers(min_value=1, max_value=6).flatmap(
-        lambda k: st.tuples(st.just(k), st.integers(min_value=2 * k + 1, max_value=16))
-    ),
-    c=st.floats(min_value=0.25, max_value=2.0),
-    u=unit_coords,
-)
-@settings(max_examples=200)
-def test_sharpness_g_is_the_diagonal_psi_trace(nk, c, u):
-    k, n = nk
-    assert sharpness_g(k, n, c, u) == pytest.approx(
-        psi("minus", k, k, n, c, u, u), rel=1e-12, abs=1e-20
-    )
-
-
-def test_sharpness_g_dips_negative_below_the_critical_constant():
-    """g(0) = 0 with g'(0) = 8 (c-1) h^4 k^2, so any c < 1 forces g < 0
-    just inside the cell."""
-    assert sharpness_g(1, 4, 0.99, 0.0) == 0.0
-    assert sharpness_g(1, 4, 0.99, 0.005) < 0.0
-    assert sharpness_g(2, 6, 0.9, 0.01) < 0.0
+def test_psi_diagonal_dips_negative_below_the_critical_constant():
+    """On the diagonal of cell (k, k) the mid-line psi is g(u) = psi(u, u)
+    with g(0) = 0 and g'(0) = 8 (c-1) h^4 k^2, so any c < 1 forces g < 0
+    just inside the cell: the constant 1 of the mid-line rule is sharp."""
+    assert psi("minus", 1, 1, 4, 0.99, 0.0, 0.0) == 0.0
+    assert psi("minus", 1, 1, 4, 0.99, 0.005, 0.005) < 0.0
+    assert psi("minus", 2, 2, 6, 0.9, 0.01, 0.01) < 0.0
     # at the critical constant the dip disappears
     for u in (0.001, 0.01, 0.1, 0.5, 1.0):
-        assert sharpness_g(1, 4, 1.0, u) >= 0.0
-
-
-def test_sharpness_g_validation():
-    with pytest.raises(ValueError):
-        sharpness_g(0, 4, 1.0, 0.5)
-    with pytest.raises(ValueError):
-        sharpness_g(2, 4, 1.0, 0.5)  # needs 2k+1 <= n
-    with pytest.raises(ValueError):
-        sharpness_g(1, 4, 1.0, 1.5)
+        assert psi("minus", 1, 1, 4, 1.0, u, u) >= 0.0

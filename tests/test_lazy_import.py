@@ -36,7 +36,6 @@ phi("minus", iv, 4, 1.0, 0.1, 0.2)
 phi("plus", iv, 4, 1.2, 0.1, 0.2)
 psi("minus", 0, 0, 4, 1.0, 0.5, 0.5)
 psi("plus", 0, 0, 4, 1.2, 0.5, 0.5)
-sharpness_g(1, 4, 0.9, 0.5)
 ref_exp_integral()
 ref_sin_integral()
 with contextlib.redirect_stdout(io.StringIO()):

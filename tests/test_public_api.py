@@ -34,7 +34,6 @@ PUBLIC_NAMES = {
     "refine_mean",
     "s_minus",
     "s_plus",
-    "sharpness_g",
     "trace_integral",
     "trapezium_rule",
     "__version__",
@@ -42,7 +41,7 @@ PUBLIC_NAMES = {
 
 
 def test_package_exports_exactly_the_pinned_names():
-    assert len(trapcube.__all__) == len(PUBLIC_NAMES) == 35
+    assert len(trapcube.__all__) == len(PUBLIC_NAMES) == 34
     assert set(trapcube.__all__) == PUBLIC_NAMES
 
 
