@@ -8,7 +8,8 @@ finer value's true error:
     mid-line rule:  |error at 2m| <= |S(2m) - S(m)|
     edge rule:      |error at 2m| <= (4m-1)/(4m-3) * |S(2m) - S(m)|
 
-Both inequalities are sharp up to their stated constants.  The mean of
+Both inequalities are sharp up to their stated constants, except the
+mid-line one at m = 1, which holds with 1/3 in place of 1.  The mean of
 the two rules is bounded by their half gap at any single level.  For
 every rule the certified bound is that bound plus the trace-integration
 budget, and the driver stops as soon as it is at most the requested
@@ -178,7 +179,6 @@ def _refine(
     tol: float,
     n0: int,
     max_n: int,
-    trace_tol: float,
 ) -> RefinementReport:
     """The refinement loop behind :func:`refine` and :func:`refine_mean`.
 
@@ -191,7 +191,7 @@ def _refine(
     ns = _level_schedule(rule, tol, n0, max_n, levels)
     rules = ("s_plus", "s_minus") if rule == "mean" else (rule,)
     termination = "max_n_reached"
-    for values in _levels(F, iv, rules, ns, trace_tol):
+    for values in _levels(F, iv, rules, ns):
         n = values[rules[0]].n
         diff = bound = table = None
         if rule == "mean":
@@ -228,7 +228,6 @@ def refine(
     tol: float,
     n0: int = 4,
     max_n: int = 1024,
-    trace_tol: float = 1e-12,
 ) -> RefinementReport:
     """Refine the mesh until the a posteriori bound meets the tolerance.
 
@@ -250,7 +249,7 @@ def refine(
     if rule not in _RULES:
         raise ValueError(f"rule must be one of {_RULES}, got {rule!r}")
     _validate_refine_args(F, n0, tol, max_n)
-    return _refine(F, iv, rule, tol, n0, max_n, trace_tol)
+    return _refine(F, iv, rule, tol, n0, max_n)
 
 
 def refine_mean(
@@ -259,7 +258,6 @@ def refine_mean(
     tol: float,
     n0: int = 4,
     max_n: int = 1024,
-    trace_tol: float = 1e-12,
 ) -> RefinementReport:
     """Refine the midpoint of the two-sided enclosure.
 
@@ -273,7 +271,7 @@ def refine_mean(
     n^-2 rate, rounded up to even and at most max_n.
     """
     _validate_refine_args(F, n0, tol, max_n)
-    return _refine(F, iv, "mean", tol, n0, max_n, trace_tol)
+    return _refine(F, iv, "mean", tol, n0, max_n)
 
 
 def definite_pair_bounds(c: float, s_prime: float, s_doubleprime: float) -> Tuple[float, float]:

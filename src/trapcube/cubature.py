@@ -64,7 +64,8 @@ class Integrand2D:
         Map from a trace id in :data:`TRACE_IDS` to a supplier returning
         the exact value of that trace integral for a given interval.
         Traces without a supplier fall back to adaptive Romberg
-        integration, whose tolerance then enters the error budget.
+        integration to absolute tolerance 1e-12, which then enters the
+        error budget.
     vectorized : bool, optional
         Declares that f also accepts numpy arrays.  The grid pass then
         calls ``f(X, Y)`` on blocks of rows, with X a column of x nodes
@@ -415,14 +416,17 @@ def _grid_pass(F: Integrand2D, iv: Interval, n: int) -> _GridPass:
     return _GridPass(n=n, product=product, sums=sums)
 
 
-def _trace_integrals(
-    F: Integrand2D, iv: Interval, trace_ids, trace_tol: float
-) -> Dict[str, Tuple[float, float]]:
+#: Absolute Romberg tolerance of a trace integral without an exact
+#: supplier; it is that trace's budget.
+_TRACE_TOL = 1e-12
+
+
+def _trace_integrals(F: Integrand2D, iv: Interval, trace_ids) -> Dict[str, Tuple[float, float]]:
     """``(value, budget)`` of each named trace integral over iv."""
     exact = F.exact_traces or {}
     return {
         tid: trace_integral(
-            _trace_function(F.f, tid, iv), iv, exact=exact.get(tid), tol=trace_tol
+            _trace_function(F.f, tid, iv), iv, exact=exact.get(tid), tol=_TRACE_TOL
         )
         for tid in trace_ids
     }
@@ -459,7 +463,7 @@ def _combine(
 
 
 def _levels(
-    F: Integrand2D, iv: Interval, rules: Sequence[str], ns: Sequence[int], trace_tol: float
+    F: Integrand2D, iv: Interval, rules: Sequence[str], ns: Sequence[int]
 ) -> Iterator[Dict[str, CubatureEstimate]]:
     """``{rule: estimate}`` for each level n in ns, in order.
 
@@ -473,7 +477,7 @@ def _levels(
         grid = _grid_pass(F, iv, n)
         if traces is None:
             needed = [tid for tid in TRACE_IDS for r in rules if tid in _RULE_TRACES[r]]
-            traces = _trace_integrals(F, iv, needed, trace_tol)
+            traces = _trace_integrals(F, iv, needed)
         yield {rule: _combine(rule, F, iv, grid, traces) for rule in rules}
 
 
@@ -494,9 +498,7 @@ def product_trapezoid(F: Integrand2D, iv: Interval, n: int) -> CubatureEstimate:
     return CubatureEstimate(value=_grid_pass(F, iv, n).product, rule="product_trap", n=n)
 
 
-def s_minus(
-    F: Integrand2D, iv: Interval, n: int, trace_tol: float = 1e-12
-) -> CubatureEstimate:
+def s_minus(F: Integrand2D, iv: Interval, n: int) -> CubatureEstimate:
     """Mid-line corrected product trapezoid rule (the overshooting rule).
 
     The product value is corrected with the trapezium remainders of the
@@ -509,12 +511,10 @@ def s_minus(
     an upper bound for the true integral (a lower bound when
     ``D22 f <= 0``).
     """
-    return next(_levels(F, iv, ("s_minus",), (n,), trace_tol))["s_minus"]
+    return next(_levels(F, iv, ("s_minus",), (n,)))["s_minus"]
 
 
-def s_plus(
-    F: Integrand2D, iv: Interval, n: int, trace_tol: float = 1e-12
-) -> CubatureEstimate:
+def s_plus(F: Integrand2D, iv: Interval, n: int) -> CubatureEstimate:
     """Edge corrected product trapezoid rule (the undershooting rule).
 
     The product value is corrected with the trapezium remainders of the
@@ -526,7 +526,7 @@ def s_plus(
     On integrands with ``D22 f >= 0`` the result is a lower bound for
     the true integral (an upper bound when ``D22 f <= 0``).
     """
-    return next(_levels(F, iv, ("s_plus",), (n,), trace_tol))["s_plus"]
+    return next(_levels(F, iv, ("s_plus",), (n,)))["s_plus"]
 
 
 def error_constant(rule: str, iv: Interval, n: int) -> float:
@@ -549,13 +549,7 @@ def error_constant(rule: str, iv: Interval, n: int) -> float:
     raise ValueError(f"unknown rule {rule!r} (expected 's_minus' or 's_plus')")
 
 
-def enclosure(
-    F: Integrand2D,
-    iv: Interval,
-    n_plus: int,
-    n_minus: int,
-    trace_tol: float = 1e-12,
-) -> Enclosure:
+def enclosure(F: Integrand2D, iv: Interval, n_plus: int, n_minus: int) -> Enclosure:
     """Certified two-sided bracket of the integral of F over iv x iv.
 
     Requires a declared ``d22_sign``.  For a nonnegative mixed
@@ -568,10 +562,10 @@ def enclosure(
     if F.d22_sign is None:
         raise ValueError("definiteness not declared: Integrand2D.d22_sign is required")
     if n_plus == n_minus:
-        level = next(_levels(F, iv, ("s_plus", "s_minus"), (n_plus,), trace_tol))
+        level = next(_levels(F, iv, ("s_plus", "s_minus"), (n_plus,)))
         low, high = level["s_plus"], level["s_minus"]
     else:
-        low, high = s_plus(F, iv, n_plus, trace_tol), s_minus(F, iv, n_minus, trace_tol)
+        low, high = s_plus(F, iv, n_plus), s_minus(F, iv, n_minus)
     if F.d22_sign == "nonpositive":
         low, high = high, low
     slack = max(low.trace_err_budget, high.trace_err_budget)

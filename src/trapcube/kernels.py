@@ -11,9 +11,12 @@ the adaptive driver reduce to a sign claim about the comparison kernel
 
 nonnegative for the mid-line rule exactly when ``c >= 1`` and
 nonpositive for the edge rule exactly when ``c >= (4n-1)/(4n-3)``.
-Those thresholds are best possible; :func:`definiteness_scan` checks
-both directions numerically on uniform grids, and :func:`psi` exposes
-the local polynomials that make the thresholds visible in closed form.
+Those thresholds are best possible for every n >= 2.  At n = 1 the
+edge threshold 3 still is, but the mid-line kernel stays nonnegative
+down to ``c = 1/3``, so ``c >= 1`` is sufficient there and not sharp.
+:func:`definiteness_scan` checks both directions numerically on uniform
+grids, and :func:`psi` exposes the local polynomials that make the
+thresholds visible in closed form.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from .cubature import _BLOCK_POINTS, _hold_heap
-from .univariate import _SIGNS, Interval, QuadratureRule, midpoint_rule, peano_kernel, trapezium_rule
+from .univariate import Interval, QuadratureRule, midpoint_rule, peano_kernel, trapezium_rule
 
 # numpy is imported inside the scan functions, so that the point
 # kernels never load it.
@@ -39,7 +42,14 @@ __all__ = [
     "psi",
 ]
 
-_KERNEL_KINDS = ("k22_s_minus", "k22_s_plus", "phi_minus", "phi_plus")
+#: Each kernel kind and the sign it keeps: the rule kernels always, the
+#: comparison kernels for c at or above their critical constants.
+_KERNEL_SIGNS = {
+    "k22_s_minus": "nonpositive",
+    "k22_s_plus": "nonnegative",
+    "phi_minus": "nonnegative",
+    "phi_plus": "nonpositive",
+}
 
 #: Relative slack separating true sign violations from rounding noise at
 #: the kernel's zero set (the kernels vanish identically on grid lines).
@@ -57,8 +67,8 @@ class KernelSpec:
     c: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _KERNEL_KINDS:
-            raise ValueError(f"kind must be one of {_KERNEL_KINDS}, got {self.kind!r}")
+        if self.kind not in _KERNEL_SIGNS:
+            raise ValueError(f"kind must be one of {tuple(_KERNEL_SIGNS)}, got {self.kind!r}")
         if self.n < 1:
             raise ValueError(f"level must be >= 1, got {self.n}")
         if self.kind.startswith("phi"):
@@ -105,11 +115,11 @@ def _k22(u_t, u_tau, t_t, t_tau):
 
 
 def _k22_point(outer: QuadratureRule, iv: Interval, n: int, t: float, tau: float) -> float:
-    """``K22`` at ``(t, tau)``, with U the order-2 Peano kernel of ``outer``."""
+    """``K22`` at ``(t, tau)``, with U the Peano kernel of ``outer``."""
     trap = trapezium_rule(iv, n)
     return _k22(
-        peano_kernel(outer, 2, t), peano_kernel(outer, 2, tau),
-        peano_kernel(trap, 2, t), peano_kernel(trap, 2, tau),
+        peano_kernel(outer, t), peano_kernel(outer, tau),
+        peano_kernel(trap, t), peano_kernel(trap, tau),
     )
 
 
@@ -176,12 +186,14 @@ def _k2_ends_grid(g: np.ndarray, iv: Interval) -> np.ndarray:
     return 0.5 * (g - iv.a) * (g - iv.b)
 
 
-def definiteness_scan(spec: KernelSpec, expected: str, resolution: int) -> ScanReport:
-    """Check the expected sign of a kernel on a uniform grid.
+def definiteness_scan(spec: KernelSpec, resolution: int) -> ScanReport:
+    """Check the sign a kernel kind keeps on a uniform grid.
 
     Evaluates the kernel at all ``(resolution + 1)^2`` points of the
     uniform tensor grid over the square, counts the points whose value
-    breaks ``expected`` by more than the slack
+    breaks the kind's sign (nonpositive for 'k22_s_minus' and
+    'phi_plus', nonnegative for 'k22_s_plus' and 'phi_minus') by more
+    than the slack
     ``SCAN_SLACK_FACTOR * max |kernel|``, and reports the worst of them.
     Memory beyond one block of rows is 8 bytes per sign-breaking point.
 
@@ -190,14 +202,13 @@ def definiteness_scan(spec: KernelSpec, expected: str, resolution: int) -> ScanR
     resolution that is a multiple of ``4 n`` and fine compared to
     ``1/c_deficit``; passing scans are insensitive to the choice.
     """
-    if expected not in _SIGNS:
-        raise ValueError(f"expected sign must be one of {_SIGNS}, got {expected!r}")
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     import numpy as np
 
     _hold_heap(np)
     iv, n, c = spec.iv, spec.n, spec.c
+    expected = _KERNEL_SIGNS[spec.kind]
     size = resolution + 1
     grid = np.linspace(iv.a, iv.b, size)
     U = _k2_mid_grid(grid, iv) if spec.kind.endswith("minus") else _k2_ends_grid(grid, iv)

@@ -149,52 +149,30 @@ def apply(rule: QuadratureRule, g: Callable[[float], float]) -> float:
     return math.fsum(terms)
 
 
-def _truncated_power(u: float, k: int) -> float:
-    """(u)_+^k with the conventions used by the kernel formulas.
-
-    For k >= 1 this is ``max(u, 0)**k``, which vanishes at the kink so
-    kernel values at quadrature nodes come out as exact zeros.  For k = 0
-    the step is symmetrised (value 1/2 at u = 0); that is the convention
-    under which the two closed forms of the first-order kernel agree at
-    the nodes.
-    """
-    if k == 0:
-        if u > 0.0:
-            return 1.0
-        if u < 0.0:
-            return 0.0
-        return 0.5
-    return max(u, 0.0) ** k
-
-
-def peano_kernel(rule: QuadratureRule, s: int, t: float) -> float:
-    """Order-s Peano kernel K_s(rule; t) of the remainder functional.
+def peano_kernel(rule: QuadratureRule, t: float) -> float:
+    """Second-order Peano kernel K_2(rule; t) of the remainder functional.
 
     Evaluates the closed form
 
-        K_s(t) = (b - t)^s / s!  -  (1/(s-1)!) * sum_i a_i (x_i - t)_+^(s-1),
+        K_2(t) = (b - t)^2 / 2  -  sum_i a_i (x_i - t)_+,
 
-    valid for rules with degree of precision at least s-1 (the caller's
-    responsibility; it is not checked here).  A fixed sign of K_2 over
-    the interval is what certifies one-sided behaviour of the rule's
+    valid for rules exact on linear functions (the caller's
+    responsibility; it is not checked here), with ``(x_i - t)_+ =
+    max(x_i - t, 0)``, an exact zero from t = x_i on.  A fixed sign of K_2
+    over the interval is what certifies one-sided behaviour of the rule's
     remainder on integrands with one-signed second derivative.
 
     Raises
     ------
     ValueError
-        If t lies outside the rule's interval or ``s < 1``.
+        If t lies outside the rule's interval.
     """
-    if s < 1:
-        raise ValueError(f"kernel order must be >= 1, got {s}")
     a, b = rule.interval.a, rule.interval.b
     if not a <= t <= b:
         raise ValueError(f"kernel argument {t!r} outside [{a!r}, {b!r}]")
-    lead = (b - t) ** s / math.factorial(s)
-    fac = math.factorial(s - 1)
-    tail = math.fsum(
-        w * _truncated_power(x - t, s - 1) for x, w in zip(rule.nodes, rule.weights)
+    return (b - t) ** 2 / 2 - math.fsum(
+        w * max(x - t, 0.0) for x, w in zip(rule.nodes, rule.weights)
     )
-    return lead - tail / fac
 
 
 _MAX_ROMBERG_LEVELS = 24

@@ -8,8 +8,9 @@ construction ``S_n[f] = I[Bf] + C_n[f] - C_n[Bf]`` and a mixed
 arrangement of the edge kernel.  They use only public names, so they
 share no code with the routes they check beyond the product rule, the
 trapezium rule, the Peano kernels and Romberg trace integration.  Trace
-integrals are always Romberg values, so compare them with rules run on
-integrands without exact traces, at the same ``trace_tol``.
+integrals are always Romberg values at ``trace_integral``'s default
+tolerance, the one the rules use, so compare them with rules run on
+integrands without exact traces.
 """
 import math
 
@@ -24,7 +25,7 @@ def _blending_value(F, iv, n, integral_bf, Bf):
     return integral_bf + c_f - c_bf
 
 
-def s_plus_by_blending(F, iv, n, trace_tol):
+def s_plus_by_blending(F, iv, n):
     """The edge rule through the four-edge blending interpolant.
 
     Bf is bilinear in each variable and matches f on the four edges, so
@@ -52,13 +53,13 @@ def s_plus_by_blending(F, iv, n, trace_tol):
         )
 
     edges = [lambda t: f(a, t), lambda t: f(b, t), lambda t: f(t, a), lambda t: f(t, b)]
-    edge_sum = math.fsum(trace_integral(g, iv, tol=trace_tol)[0] for g in edges)
+    edge_sum = math.fsum(trace_integral(g, iv)[0] for g in edges)
     h = 0.5 * w
     corner_sum = f(a, a) + f(a, b) + f(b, a) + f(b, b)
     return _blending_value(F, iv, n, h * edge_sum - h * h * corner_sum, Bf)
 
 
-def s_minus_by_blending(F, iv, n, fx, fy, fxy, trace_tol):
+def s_minus_by_blending(F, iv, n, fx, fy, fxy):
     """The mid-line rule through the double-midpoint-node interpolant.
 
     Bf matches f and its first-order data along both mid-lines, so it
@@ -81,8 +82,8 @@ def s_minus_by_blending(F, iv, n, fx, fy, fxy, trace_tol):
             - (x - m) * (y - m) * fxy(m, m)
         )
 
-    vertical = trace_integral(lambda t: f(m, t), iv, tol=trace_tol)[0]
-    horizontal = trace_integral(lambda t: f(t, m), iv, tol=trace_tol)[0]
+    vertical = trace_integral(lambda t: f(m, t), iv)[0]
+    horizontal = trace_integral(lambda t: f(t, m), iv)[0]
     return _blending_value(F, iv, n, w * (vertical + horizontal) - w * w * f(m, m), Bf)
 
 
@@ -104,5 +105,5 @@ def k22_s_plus_mixed(iv, n, t, tau):
     def kcal(x):
         return max(x - t, 0.0) - (x - a) * (b - t) / iv.width
 
-    gtau = peano_kernel(trapezium_rule(iv, 1), 2, tau)
-    return gtau * peano_kernel(trap, 2, t) + peano_kernel(trap, 2, tau) * apply(trap, kcal)
+    gtau = peano_kernel(trapezium_rule(iv, 1), tau)
+    return gtau * peano_kernel(trap, t) + peano_kernel(trap, tau) * apply(trap, kcal)

@@ -76,7 +76,7 @@ def test_refine_bound_columns_plus_carry_the_level_factor():
 def test_certified_bound_dominates_true_error(F, ref, rule):
     """The whole point: every bound a level carries covers its true error."""
     reference = ref().value
-    report = refine(F, UNIT, rule, tol=1e-6, trace_tol=1e-13)
+    report = refine(F, UNIT, rule, tol=1e-6)
     assert report.termination == "tolerance_met"
     for _, lv in _half_level_pairs(report):
         true_error = abs(reference - lv.estimate)
@@ -147,14 +147,14 @@ def test_refine_mean_bound_is_half_the_enclosure_width():
     F = BUILTINS["exp_xy"].integrand
     edges = ("left", "right", "down", "up")
     F = dataclasses.replace(F, exact_traces={tid: F.exact_traces[tid] for tid in edges})
-    report = refine_mean(F, UNIT, tol=1e-6, max_n=64, trace_tol=1e-4)
-    # The trace budget alone exceeds tol, so level 4 predicts the cap.
+    report = refine_mean(F, UNIT, tol=1e-12, max_n=64)
+    # The mid-lines' budget 2e-12 alone exceeds tol, so level 4 predicts the cap.
     assert [lv.n for lv in report.levels] == [4, 64]
     for lv in report.levels:
-        enc = enclosure(F, UNIT, lv.n, lv.n, 1e-4)
+        enc = enclosure(F, UNIT, lv.n, lv.n)
         assert enc.slack > 0.0
         assert lv.trace_budget == enc.slack
-        gap = s_minus(F, UNIT, lv.n, 1e-4).value - s_plus(F, UNIT, lv.n, 1e-4).value
+        gap = s_minus(F, UNIT, lv.n).value - s_plus(F, UNIT, lv.n).value
         assert lv.aposteriori_bound == 0.5 * abs(gap)
         assert lv.aposteriori_bound + lv.trace_budget == pytest.approx(
             0.5 * (enc.upper - enc.lower), rel=1e-12

@@ -346,7 +346,13 @@ def test_scan_usage_errors(capsys):
     (("--kernel", "phi-minus", "--n", "2", "--c", "inf", "--resolution", "16"),
      "comparison kernels require a finite c > 0, got inf"),
     (("--kernel", "phi-plus", "--n", "2", "--c", "nan"), "comparison kernels require a finite c > 0, got nan"),
-], ids=["missing", "k22", "zero", "inf", "nan"])
+    # Both are refused before any array is built: a level this large
+    # overflows a float division, and the grid has (resolution + 1)^2 points.
+    (("--kernel", "k22-minus", "--n", "1" + "0" * 400, "--resolution", "16"),
+     "n must be at most 65536, got 1" + "0" * 400),
+    (("--kernel", "k22-minus", "--n", "4", "--resolution", "1000000000"),
+     "resolution must be at most 65536, got 1000000000"),
+], ids=["missing", "k22", "zero", "inf", "nan", "huge-n", "huge-resolution"])
 def test_scan_refuses_a_misused_c(capsys, argv, message):
     assert run(capsys, "scan", *argv) == (2, "", f"error: {message}\n")
 
@@ -354,6 +360,11 @@ def test_scan_refuses_a_misused_c(capsys, argv, message):
 def test_table_rows_rejects_non_table_builtins():
     with pytest.raises(ValueError):
         table_rows("bilinear_xy", [4])
+
+
+def test_table_rows_rejects_an_empty_level_list():
+    with pytest.raises(ValueError, match="must not be empty"):
+        table_rows("exp_xy", [])
 
 
 @pytest.mark.parametrize("fn_id", ["exp_xy", "sin_xy"])

@@ -143,7 +143,7 @@ def test_trace_budget_zero_with_exact_traces():
     }
     F = Integrand2D(f=lambda x, y: math.exp(x * y), d22_sign="nonnegative", exact_traces=exact)
     with_exact = s_minus(F, UNIT, 4)
-    with_romberg = s_minus(EXP, UNIT, 4, trace_tol=1e-13)
+    with_romberg = s_minus(EXP, UNIT, 4)
     assert with_exact.trace_err_budget == 0.0
     assert with_romberg.trace_err_budget > 0.0
     assert abs(with_exact.value - with_romberg.value) < 1e-12
@@ -158,11 +158,12 @@ def test_rule_values_are_python_floats_with_romberg_traces():
 
 
 def test_trace_budget_accounting():
-    # mid-line rule: two traces at weight w; edge rule: four at weight w/2
-    tol = 1e-10
+    # Each Romberg trace's budget is its tolerance 1e-12.  Mid-line rule:
+    # two traces at weight w; edge rule: four at weight w/2.
+    tol = 1e-12
     w = UNIT.width
-    assert s_minus(EXP, UNIT, 2, trace_tol=tol).trace_err_budget == pytest.approx(w * 2 * tol)
-    assert s_plus(EXP, UNIT, 2, trace_tol=tol).trace_err_budget == pytest.approx(0.5 * w * 4 * tol)
+    assert s_minus(EXP, UNIT, 2).trace_err_budget == pytest.approx(w * 2 * tol)
+    assert s_plus(EXP, UNIT, 2).trace_err_budget == pytest.approx(0.5 * w * 4 * tol)
 
 
 def test_enclosure_brackets_reference_both_signs():
@@ -202,8 +203,8 @@ def test_mismatched_levels_allowed():
 
 def test_blending_route_matches_direct_edge_rule():
     for n in (1, 2, 5):
-        direct = s_plus(EXP, UNIT, n, trace_tol=1e-13).value
-        built = s_plus_by_blending(EXP, UNIT, n, trace_tol=1e-13)
+        direct = s_plus(EXP, UNIT, n).value
+        built = s_plus_by_blending(EXP, UNIT, n)
         assert built == pytest.approx(direct, rel=1e-13)
 
 
@@ -212,8 +213,8 @@ def test_blending_route_matches_direct_midline_rule():
     fy = lambda x, y: x * math.exp(x * y)
     fxy = lambda x, y: (1.0 + x * y) * math.exp(x * y)
     for n in (1, 2, 5):
-        direct = s_minus(EXP, UNIT, n, trace_tol=1e-13).value
-        built = s_minus_by_blending(EXP, UNIT, n, fx, fy, fxy, trace_tol=1e-13)
+        direct = s_minus(EXP, UNIT, n).value
+        built = s_minus_by_blending(EXP, UNIT, n, fx, fy, fxy)
         assert built == pytest.approx(direct, rel=1e-13)
 
 
@@ -223,11 +224,11 @@ def test_blending_route_on_shifted_square():
     fx = lambda x, y: 2 * x * (y**3 - y + 2)
     fy = lambda x, y: (x**2 + 1) * (3 * y**2 - 1)
     fxy = lambda x, y: 2 * x * (3 * y**2 - 1)
-    direct = s_plus(poly, iv, 3, trace_tol=1e-13).value
-    built = s_plus_by_blending(poly, iv, 3, trace_tol=1e-13)
+    direct = s_plus(poly, iv, 3).value
+    built = s_plus_by_blending(poly, iv, 3)
     assert built == pytest.approx(direct, rel=1e-12)
-    direct = s_minus(poly, iv, 3, trace_tol=1e-13).value
-    built = s_minus_by_blending(poly, iv, 3, fx, fy, fxy, trace_tol=1e-13)
+    direct = s_minus(poly, iv, 3).value
+    built = s_minus_by_blending(poly, iv, 3, fx, fy, fxy)
     assert built == pytest.approx(direct, rel=1e-12)
 
 

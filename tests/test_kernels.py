@@ -28,6 +28,15 @@ from crosscheck import k22_s_plus_mixed
 
 UNIT = Interval(0.0, 1.0)
 
+#: The sign the paper proves for each kernel kind (for phi, at c at or
+#: above the critical constant), stated apart from the library.
+SIGNS = {
+    "k22_s_minus": "nonpositive",
+    "k22_s_plus": "nonnegative",
+    "phi_minus": "nonnegative",
+    "phi_plus": "nonpositive",
+}
+
 unit_coords = st.floats(min_value=0.0, max_value=1.0)
 
 
@@ -109,7 +118,8 @@ def test_phi_validation():
 ])
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_scan_clean_for_rule_kernels(kind, expected, n):
-    report = definiteness_scan(KernelSpec(kind=kind, iv=UNIT, n=n), expected, 41)
+    report = definiteness_scan(KernelSpec(kind=kind, iv=UNIT, n=n), 41)
+    assert report.expected_sign == expected
     assert report.ok
     assert report.violations == 0
     assert report.worst is None
@@ -122,7 +132,7 @@ def test_scan_vectorized_grid_agrees_with_scalar_kernel():
     """The scan's factored closed forms match the public point evaluator."""
     n, res = 3, 24
     spec = KernelSpec(kind="k22_s_minus", iv=Interval(-1.0, 2.0), n=n)
-    report = definiteness_scan(spec, "nonpositive", res)
+    report = definiteness_scan(spec, res)
     assert report.ok
     grid = [spec.iv.a + i * spec.iv.width / res for i in range(res + 1)]
     scale = max(
@@ -133,36 +143,41 @@ def test_scan_vectorized_grid_agrees_with_scalar_kernel():
 
 def test_scan_threshold_behaviour_of_comparison_kernels():
     # at the critical constant the scan is clean; just below it fails
-    clean = definiteness_scan(
-        KernelSpec(kind="phi_minus", iv=UNIT, n=4, c=1.0), "nonnegative", 32 * 4
-    )
+    clean = definiteness_scan(KernelSpec(kind="phi_minus", iv=UNIT, n=4, c=1.0), 32 * 4)
     assert clean.ok
-    dirty = definiteness_scan(
-        KernelSpec(kind="phi_minus", iv=UNIT, n=4, c=0.9), "nonnegative", 1024
-    )
+    dirty = definiteness_scan(KernelSpec(kind="phi_minus", iv=UNIT, n=4, c=0.9), 1024)
     assert not dirty.ok
     assert dirty.max_abs_violation > 0.0
     assert dirty.max_abs_violation > SCAN_SLACK_FACTOR * dirty.scale
 
     n = 2
     critical = (4.0 * n - 1.0) / (4.0 * n - 3.0)
-    clean_p = definiteness_scan(
-        KernelSpec(kind="phi_plus", iv=UNIT, n=n, c=critical), "nonpositive", 32 * n
-    )
+    clean_p = definiteness_scan(KernelSpec(kind="phi_plus", iv=UNIT, n=n, c=critical), 32 * n)
     assert clean_p.ok
     dirty_p = definiteness_scan(
-        KernelSpec(kind="phi_plus", iv=UNIT, n=n, c=critical - 0.05), "nonpositive", 1024 * n
+        KernelSpec(kind="phi_plus", iv=UNIT, n=n, c=critical - 0.05), 1024 * n
     )
     assert not dirty_p.ok
 
+    # At n = 1 the edge threshold is still (4n-1)/(4n-3) = 3, but the
+    # mid-line kernel keeps its sign down to c = 1/3, below the 1 that
+    # holds for n >= 2.
+    assert definiteness_scan(KernelSpec(kind="phi_plus", iv=UNIT, n=1, c=3.0), 256).ok
+    assert definiteness_scan(KernelSpec(kind="phi_plus", iv=UNIT, n=1, c=2.9), 256).violations == 60
+    for c in (1.0, 0.34, 1.0 / 3.0):
+        assert definiteness_scan(KernelSpec(kind="phi_minus", iv=UNIT, n=1, c=c), 64).ok
+    assert definiteness_scan(KernelSpec(kind="phi_minus", iv=UNIT, n=1, c=0.3), 64).violations == 1228
 
-def _row_loop_scan(spec, expected, resolution):
-    """Reference scan: one grid row at a time, kernel formula written out.
+
+def _row_loop_scan(spec, resolution):
+    """Reference scan: one grid row at a time, kernel formula written out,
+    against the sign in ``SIGNS``.
 
     Returns the report and the full row-major list of violations it is
     derived from.
     """
     iv, n, c = spec.iv, spec.n, spec.c
+    expected = SIGNS[spec.kind]
     grid = np.linspace(iv.a, iv.b, resolution + 1)
     U = _k2_mid_grid(grid, iv) if spec.kind.endswith("minus") else _k2_ends_grid(grid, iv)
     Tn = _k2_trap_grid(grid, iv, n)
@@ -204,20 +219,34 @@ _SCAN_SPECS = [
     ("phi_plus", 1.4),
 ]
 
+#: Comparison kernels far enough below their critical constants to break
+#: their sign on every grid of the test below; at c = 0.01 almost everywhere.
+_BREAKING_SPECS = [
+    ("phi_plus", 0.01),
+    ("phi_minus", 0.01),
+    ("phi_minus", 0.3),
+    ("phi_minus", 0.1),
+    ("phi_plus", 0.5),
+    ("phi_plus", 1.0),
+]
 
-@pytest.mark.parametrize("kind,c", _SCAN_SPECS)
-@pytest.mark.parametrize("expected", ["nonnegative", "nonpositive"])
+
+@pytest.mark.parametrize("kind,c", [
+    pytest.param(kind, c, id=f"{SIGNS[kind]}-{kind}-{c}") for kind, c in _SCAN_SPECS + _BREAKING_SPECS
+])
 @pytest.mark.parametrize("iv,n,resolution", [
     (UNIT, 4, 100),
     (Interval(-1.0, 2.0), 3, 130),
     (Interval(0.3, 0.7), 1, 7),
 ])
-def test_block_scan_equals_row_loop(kind, c, expected, iv, n, resolution):
+def test_block_scan_equals_row_loop(kind, c, iv, n, resolution):
     """Block-wise scans of small grids give the row loop's report bit for
-    bit whatever the sign; grids split across blocks are tested below."""
+    bit, clean or not; grids split across blocks are tested below."""
     spec = KernelSpec(kind=kind, iv=iv, n=n, c=c)
-    report = definiteness_scan(spec, expected, resolution)
-    assert _hex(report) == _hex(_row_loop_scan(spec, expected, resolution)[0])
+    report = definiteness_scan(spec, resolution)
+    assert _hex(report) == _hex(_row_loop_scan(spec, resolution)[0])
+    if (kind, c) in _BREAKING_SPECS:
+        assert report.violations > 0
 
 
 #: A grid row of more than half a block's points: every block is one row.
@@ -238,8 +267,9 @@ def test_block_scan_equals_row_loop_across_blocks(kind, c, expected, n, resoluti
     rows_per_block = max(1, _BLOCK_POINTS // (resolution + 1))
     assert resolution + 1 > rows_per_block
     spec = KernelSpec(kind=kind, iv=UNIT, n=n, c=c)
-    report = definiteness_scan(spec, expected, resolution)
-    reference, violations = _row_loop_scan(spec, expected, resolution)
+    report = definiteness_scan(spec, resolution)
+    reference, violations = _row_loop_scan(spec, resolution)
+    assert report.expected_sign == expected
     assert _hex(report) == _hex(reference)
     assert report.violations == count
     assert count == 0 or len({t for (t, _, _) in violations}) > rows_per_block
@@ -249,8 +279,8 @@ def test_scan_worst_point_is_the_first_in_row_major_order_on_ties():
     """phi is symmetric in (t, tau), so its largest violation here is
     reached at two mirrored points in different blocks."""
     spec = KernelSpec(kind="phi_plus", iv=UNIT, n=2, c=1.3)
-    report = definiteness_scan(spec, "nonpositive", 1000)
-    _, violations = _row_loop_scan(spec, "nonpositive", 1000)
+    report = definiteness_scan(spec, 1000)
+    _, violations = _row_loop_scan(spec, 1000)
     assert len(violations) == report.violations == 1860
     peak = max(abs(v) for (_, _, v) in violations)
     assert [(t, tau) for (t, tau, v) in violations if abs(v) == peak] == [(0.01, 0.989), (0.989, 0.01)]
@@ -258,33 +288,32 @@ def test_scan_worst_point_is_the_first_in_row_major_order_on_ties():
     assert report.max_abs_violation == peak
 
 
-def test_wrong_sign_scan_memory_does_not_grow_with_the_violations():
-    """A scan with the wrong expected sign breaks it at almost every
-    point; its traced peak stays below 16 bytes per grid point (a
-    (t, tau, value) tuple per violation took over 200)."""
+def test_dense_violation_scan_memory_does_not_grow_with_the_violations():
+    """phi_minus at c = 0.01, far below its critical constant 1, breaks
+    its sign at almost every point; the scan's traced peak stays below
+    16 bytes per grid point (a (t, tau, value) tuple per violation took
+    over 200)."""
     resolution = 1000
-    spec = KernelSpec(kind="k22_s_minus", iv=UNIT, n=4)
+    spec = KernelSpec(kind="phi_minus", iv=UNIT, n=4, c=0.01)
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        report = definiteness_scan(spec, "nonnegative", resolution)
+        report = definiteness_scan(spec, resolution)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert report.violations == 997_992
+    assert report.violations == 997_008
     assert peak < 16 * (resolution + 1) ** 2
 
 
 def test_scan_rejects_bad_arguments():
     spec = KernelSpec(kind="k22_s_minus", iv=UNIT, n=1)
-    with pytest.raises(ValueError):
-        definiteness_scan(spec, "negative", 10)
-    with pytest.raises(ValueError):
-        definiteness_scan(spec, "nonpositive", 1)
+    with pytest.raises(ValueError, match="resolution must be >= 2"):
+        definiteness_scan(spec, 1)
 
 
 # Local cell polynomials.

@@ -1,4 +1,6 @@
 """The package's public names are pinned, so any change to them shows in a diff."""
+import inspect
+
 import trapcube
 from trapcube import adaptive, cubature, kernels, oracle, univariate
 
@@ -43,6 +45,18 @@ PUBLIC_NAMES = {
 def test_package_exports_exactly_the_pinned_names():
     assert len(trapcube.__all__) == len(PUBLIC_NAMES) == 34
     assert set(trapcube.__all__) == PUBLIC_NAMES
+
+
+def test_no_public_callable_takes_a_setting_the_rules_fix():
+    """The Romberg trace tolerance, the sign each kernel kind keeps and
+    the order of the Peano kernels are fixed by the rules, so no public
+    callable takes them as arguments."""
+    for name in trapcube.__all__:
+        obj = getattr(trapcube, name)
+        if callable(obj):
+            params = set(inspect.signature(obj).parameters)
+            assert not params & {"trace_tol", "expected"}, (name, params)
+    assert list(inspect.signature(trapcube.peano_kernel).parameters) == ["rule", "t"]
 
 
 def test_package_reexports_every_submodule_name():

@@ -99,7 +99,7 @@ def test_apply_midpoint():
     assert apply(midpoint_rule(UNIT), lambda t: t * t) == 0.25
 
 
-# Order-2 kernel closed forms checked against the generic definition.
+# Kernel closed forms checked against the generic definition.
 
 def _k2_mid_closed(iv, t):
     out = 0.5 * (t - iv.a) ** 2
@@ -125,7 +125,7 @@ def _k2_slack(iv):
 @settings(max_examples=200)
 def test_peano_k2_midpoint_closed_form(iv, x):
     t = min(iv.a + x * iv.width, iv.b)
-    generic = peano_kernel(midpoint_rule(iv), 2, t)
+    generic = peano_kernel(midpoint_rule(iv), t)
     assert math.isclose(generic, _k2_mid_closed(iv, t), rel_tol=1e-12, abs_tol=_k2_slack(iv))
 
 
@@ -133,7 +133,7 @@ def test_peano_k2_midpoint_closed_form(iv, x):
 @settings(max_examples=200)
 def test_peano_k2_trapezium_closed_form(iv, n, x):
     t = min(iv.a + x * iv.width, iv.b)
-    generic = peano_kernel(trapezium_rule(iv, n), 2, t)
+    generic = peano_kernel(trapezium_rule(iv, n), t)
     assert math.isclose(generic, _k2_trap_closed(iv, n, t), rel_tol=1e-11, abs_tol=_k2_slack(iv))
 
 
@@ -142,26 +142,13 @@ def test_peano_k2_vanishes_at_trapezium_nodes():
     iv = Interval(-0.5, 2.5)
     rule = trapezium_rule(iv, 6)
     for t in rule.nodes:
-        assert peano_kernel(rule, 2, t) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_peano_k1_step_convention_keeps_node_values_consistent():
-    # At a node the kernel uses the half-weight step, so approaching from
-    # either side of an interior node brackets the node value.
-    iv = UNIT
-    rule = trapezium_rule(iv, 2)
-    at = peano_kernel(rule, 1, 0.5)
-    left = peano_kernel(rule, 1, 0.5 - 1e-9)
-    right = peano_kernel(rule, 1, 0.5 + 1e-9)
-    assert min(left, right) - 1e-8 <= at <= max(left, right) + 1e-8
+        assert peano_kernel(rule, t) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_peano_kernel_argument_validation():
     rule = trapezium_rule(UNIT, 2)
-    with pytest.raises(ValueError):
-        peano_kernel(rule, 0, 0.5)
-    with pytest.raises(ValueError):
-        peano_kernel(rule, 2, 1.5)
+    with pytest.raises(ValueError, match="outside"):
+        peano_kernel(rule, 1.5)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7])
@@ -170,7 +157,7 @@ def test_k2_integral_trapezium(n):
     iv = Interval(0.25, 1.75)
     expected = -(iv.width**3) / (12.0 * n * n)
     value, budget = trace_integral(
-        lambda t: peano_kernel(trapezium_rule(iv, n), 2, t), iv, tol=1e-12
+        lambda t: peano_kernel(trapezium_rule(iv, n), t), iv, tol=1e-12
     )
     assert abs(value - expected) <= 1e-11
 
@@ -179,7 +166,7 @@ def test_k2_integral_midpoint():
     """The midpoint kernel integrates to w^3 / 24."""
     iv = Interval(-2.0, 1.0)
     expected = iv.width**3 / 24.0
-    value, budget = trace_integral(lambda t: peano_kernel(midpoint_rule(iv), 2, t), iv, tol=1e-12)
+    value, budget = trace_integral(lambda t: peano_kernel(midpoint_rule(iv), t), iv, tol=1e-12)
     assert abs(value - expected) <= 1e-11
 
 
@@ -233,3 +220,6 @@ def test_romberg_exhaustion_carries_best_estimate(monkeypatch):
 def test_romberg_rejects_non_finite_integrand():
     with pytest.raises(ValueError):
         trace_integral(lambda t: math.inf if t > 0.9 else t, UNIT, tol=1e-10)
+    # Finite at both ends: the first refinement refuses the midpoint value.
+    with pytest.raises(ValueError, match="non-finite value inf at 0.5"):
+        trace_integral(lambda t: math.inf if t == 0.5 else 1.0, UNIT)
