@@ -18,12 +18,13 @@ mid-line difference, since the monotone halving makes the finer error
 at most half the coarser one; :class:`RefinementLevel` carries the
 bound and the table quantity side by side under distinct names.
 
-The tolerance picks the levels.  The driver runs n0 and 2*n0, then
-takes the n^-2 rate of :func:`cubature.error_constant` to predict from
-the last pair's bound the coarse level m whose pair (m, 2m) meets the
-tolerance, and evaluates that pair; a pair that falls short predicts
-again.  Only a row whose previous row is its half level carries a
-bound.  The mean runs n0 and then one predicted level at a time.
+The tolerance picks the levels.  The driver runs the probe pair
+(4, 8), then takes the n^-2 rate of :func:`cubature.error_constant` to
+predict from the last pair's bound the coarse level m whose pair
+(m, 2m) meets the tolerance, and evaluates that pair; a pair that falls
+short predicts again.  Only a row whose previous row is its half level
+carries a bound.  The mean runs level 4 and then one predicted level at
+a time.
 """
 from __future__ import annotations
 
@@ -47,6 +48,10 @@ _RULES = ("s_minus", "s_plus")
 #: Safety factor on a predicted level: the n^-2 rate ignores the higher
 #: order terms of the error constant and the variation of D22 f.
 _PREDICTION_MARGIN = 1.05
+
+#: First level of every solve: the probe pair is (4, 8), and the mean
+#: starts at 4.
+_N0 = 4
 
 
 @dataclass(frozen=True)
@@ -103,18 +108,16 @@ def _pair_bounds(rule: str, n: int, coarse: float, fine: float) -> Tuple[float, 
     return bound, 0.5 * bound if rule == "s_minus" else bound
 
 
-def _validate_refine_args(F: Integrand2D, n0: int, tol: float, max_n: int) -> None:
+def _validate_refine_args(F: Integrand2D, tol: float, max_n: int) -> None:
     if F.d22_sign is None:
         raise ValueError(
             "definiteness not declared: Integrand2D.d22_sign is required"
         )
-    if n0 < 1:
-        raise ValueError(f"starting level must be >= 1, got {n0}")
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
-    if max_n < 2 * n0:
+    if max_n < 2 * _N0:
         raise ValueError(
-            f"max_n must allow at least one doubling: need >= {2 * n0}, got {max_n}"
+            f"max_n must allow at least one doubling: need >= {2 * _N0}, got {max_n}"
         )
 
 
@@ -136,7 +139,7 @@ def _predict(n: int, bound: float, budget: float, tol: float, cap: int, even: bo
 
 
 def _level_schedule(
-    rule: str, tol: float, n0: int, max_n: int, levels: List[RefinementLevel]
+    rule: str, tol: float, max_n: int, levels: List[RefinementLevel]
 ) -> Iterator[int]:
     """Levels of a solve, each chosen from the rows so far.
 
@@ -149,7 +152,7 @@ def _level_schedule(
     which happens only at the cap.
     """
     even = rule != "s_plus"
-    yield n0
+    yield _N0
     if rule == "mean":
         cap = max_n - max_n % 2
         while True:
@@ -161,7 +164,7 @@ def _level_schedule(
     cap = max_n // 2
     if even:
         cap -= cap % 2
-    yield 2 * n0
+    yield 2 * _N0
     while True:
         last = levels[-1]
         m = _predict(last.n // 2, last.aposteriori_bound, last.trace_budget, tol, cap, even)
@@ -177,7 +180,6 @@ def _refine(
     iv: Interval,
     rule: str,
     tol: float,
-    n0: int,
     max_n: int,
 ) -> RefinementReport:
     """The refinement loop behind :func:`refine` and :func:`refine_mean`.
@@ -188,7 +190,7 @@ def _refine(
     and the trace integrals are computed once per solve.
     """
     levels: List[RefinementLevel] = []
-    ns = _level_schedule(rule, tol, n0, max_n, levels)
+    ns = _level_schedule(rule, tol, max_n, levels)
     rules = ("s_plus", "s_minus") if rule == "mean" else (rule,)
     termination = "max_n_reached"
     for values in _levels(F, iv, rules, ns):
@@ -226,12 +228,11 @@ def refine(
     iv: Interval,
     rule: str,
     tol: float,
-    n0: int = 4,
     max_n: int = 1024,
 ) -> RefinementReport:
     """Refine the mesh until the a posteriori bound meets the tolerance.
 
-    Runs the requested one-sided rule at n0 and 2*n0, then predicts from
+    Runs the requested one-sided rule at levels 4 and 8, then predicts from
     the last pair's bound B and trace budget the coarse level
     ``m' = ceil(m * sqrt(B / (tol - budget)) * 1.05)`` (even for
     's_minus', at most max_n/2) and runs m' and 2*m', predicting again
@@ -248,15 +249,14 @@ def refine(
     """
     if rule not in _RULES:
         raise ValueError(f"rule must be one of {_RULES}, got {rule!r}")
-    _validate_refine_args(F, n0, tol, max_n)
-    return _refine(F, iv, rule, tol, n0, max_n)
+    _validate_refine_args(F, tol, max_n)
+    return _refine(F, iv, rule, tol, max_n)
 
 
 def refine_mean(
     F: Integrand2D,
     iv: Interval,
     tol: float,
-    n0: int = 4,
     max_n: int = 1024,
 ) -> RefinementReport:
     """Refine the midpoint of the two-sided enclosure.
@@ -266,12 +266,12 @@ def refine_mean(
     the certified bound is that plus the larger trace budget, i.e. half
     the width of :func:`enclosure` at that level.  It is valid already
     at the coarsest level because the true integral lies between the two
-    rule values, so every row carries it.  The levels are n0 and then one
+    rule values, so every row carries it.  The levels are 4 and then one
     at a time, each predicted from the last half gap and budget by the
     n^-2 rate, rounded up to even and at most max_n.
     """
-    _validate_refine_args(F, n0, tol, max_n)
-    return _refine(F, iv, "mean", tol, n0, max_n)
+    _validate_refine_args(F, tol, max_n)
+    return _refine(F, iv, "mean", tol, max_n)
 
 
 def definite_pair_bounds(c: float, s_prime: float, s_doubleprime: float) -> Tuple[float, float]:

@@ -6,8 +6,9 @@ Three subcommands:
 ``integrate``
     Run the refinement for a builtin integrand with one of the rules
     ('minus', 'plus', or their 'mean') until the certified a posteriori
-    bound meets the tolerance: n0 and 2*n0, then the pairs (m, 2m) the
-    last bound predicts (n0, then single predicted levels, for 'mean').
+    bound meets the tolerance: levels 4 and 8, then the pairs (m, 2m)
+    the last bound predicts (4, then single predicted levels, for
+    'mean').
     Exit code 0 on success, 3 when max-n is reached first (the report is
     still printed).
 
@@ -17,10 +18,11 @@ Three subcommands:
     next to the a posteriori bound columns.
 
 ``scan``
-    Grid-scan one of the bivariate kernels for its expected sign.  Exit
-    code 0 when the scan is clean, 1 when violations are found, 2 when
-    the level or the resolution is above 65536 (refused before any
-    array is built).
+    Grid-scan one of the bivariate kernels for its expected sign on the
+    unit square, whose verdict holds on every square since the kernels
+    scale by width^4.  Exit code 0 when the scan is clean, 1 when
+    violations are found, 2 when the level or the resolution is above
+    65536 (refused before any array is built).
 
 Text output rounds to 4 significant digits for reading; csv and json
 carry 17 significant digits so parsed values round-trip exactly.  The
@@ -41,7 +43,7 @@ from .adaptive import RefinementReport, _pair_bounds, refine, refine_mean
 from .cubature import _TRACE_LINES, Integrand2D, _levels
 from .kernels import SCAN_SLACK_FACTOR, KernelSpec, ScanReport, definiteness_scan
 from .oracle import ReferenceValue, ref_exp_integral, ref_sin_integral
-from .univariate import ConvergenceError, Interval
+from .univariate import Interval
 
 __all__ = ["BuiltinIntegrand", "BUILTINS", "table_rows", "main"]
 
@@ -327,10 +329,10 @@ def cmd_integrate(args: argparse.Namespace) -> int:
             f" squares [a, b]^2 with {fn.condition}; got [{iv.a:g}, {iv.b:g}]^2"
         )
     if args.rule == "mean":
-        report = refine_mean(fn.integrand, iv, tol=args.tol, n0=args.n0, max_n=args.max_n)
+        report = refine_mean(fn.integrand, iv, tol=args.tol, max_n=args.max_n)
     else:
         rule = "s_minus" if args.rule == "minus" else "s_plus"
-        report = refine(fn.integrand, iv, rule, tol=args.tol, n0=args.n0, max_n=args.max_n)
+        report = refine(fn.integrand, iv, rule, tol=args.tol, max_n=args.max_n)
     _emit_integrate(report, args.fn, iv, args.format)
     return 0 if report.termination == "tolerance_met" else 3
 
@@ -360,7 +362,7 @@ def _render_scan(report: ScanReport, args: argparse.Namespace) -> None:
     c_part = "" if args.c is None else f"  c={args.c:g}"
     print(
         f"kernel={args.kernel}  n={args.n}{c_part}"
-        f"  square=[{args.a:g}, {args.b:g}]^2  resolution={report.grid_resolution}"
+        f"  square=[0, 1]^2  resolution={report.grid_resolution}"
     )
     print(f"expected sign: {report.expected_sign}")
     print(f"scale: {report.scale:.6e}  slack: {SCAN_SLACK_FACTOR * report.scale:.2e}")
@@ -376,7 +378,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     resolution = 32 * args.n if args.resolution is None else args.resolution
     if resolution > _MAX_SCAN_RESOLUTION:
         raise ValueError(f"resolution must be at most {_MAX_SCAN_RESOLUTION}, got {resolution}")
-    spec = KernelSpec(kind=_SCAN_KINDS[args.kernel], iv=Interval(args.a, args.b), n=args.n, c=args.c)
+    spec = KernelSpec(_SCAN_KINDS[args.kernel], args.n, args.c)
     report = definiteness_scan(spec, resolution)
     _render_scan(report, args)
     return 0 if report.ok else 1
@@ -400,15 +402,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_square(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--a", type=float, default=0.0, help="square lower corner (default 0)")
-        p.add_argument("--b", type=float, default=1.0, help="square upper corner (default 1)")
-
     p_int = sub.add_parser("integrate", help="refine until the certified bound meets --tol")
     p_int.add_argument("--fn", required=True, choices=sorted(BUILTINS))
     p_int.add_argument("--rule", required=True, choices=("minus", "plus", "mean"))
-    add_square(p_int)
-    p_int.add_argument("--n0", type=int, default=4, help="starting level (default 4)")
+    p_int.add_argument("--a", type=float, default=0.0, help="square lower corner (default 0)")
+    p_int.add_argument("--b", type=float, default=1.0, help="square upper corner (default 1)")
     p_int.add_argument("--tol", type=float, required=True, help="target certified bound")
     p_int.add_argument(
         "--max-n", type=int, default=1024, dest="max_n",
@@ -423,7 +421,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_tab.set_defaults(handler=cmd_table)
 
-    p_scan = sub.add_parser("scan", help="grid-scan a kernel for its expected sign")
+    p_scan = sub.add_parser("scan", help="grid-scan a kernel for its expected sign on [0, 1]^2")
     p_scan.add_argument("--kernel", required=True, choices=sorted(_SCAN_KINDS))
     p_scan.add_argument(
         "--n", type=int, required=True, help=f"rule level (at most {_MAX_SCAN_RESOLUTION})"
@@ -436,7 +434,6 @@ def _build_parser() -> argparse.ArgumentParser:
             " multiples of 4n resolve the cell structure)"
         ),
     )
-    add_square(p_scan)
     p_scan.set_defaults(handler=cmd_scan)
     return parser
 
@@ -449,9 +446,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except ConvergenceError as exc:
-        print(f"error: trace integration did not converge: {exc}", file=sys.stderr)
-        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

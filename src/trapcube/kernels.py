@@ -15,8 +15,11 @@ Those thresholds are best possible for every n >= 2.  At n = 1 the
 edge threshold 3 still is, but the mid-line kernel stays nonnegative
 down to ``c = 1/3``, so ``c >= 1`` is sufficient there and not sharp.
 :func:`definiteness_scan` checks both directions numerically on uniform
-grids, and :func:`psi` exposes the local polynomials that make the
-thresholds visible in closed form.
+grids over the unit square, and :func:`psi` exposes the local
+polynomials that make the thresholds visible in closed form.  One
+square decides them all: the kernels are built from order-2 Peano
+kernels, which scale by w^2 per axis, so on [a, b]^2 of width w each
+equals w^4 times its unit-square value at the affinely mapped point.
 """
 from __future__ import annotations
 
@@ -58,11 +61,10 @@ SCAN_SLACK_FACTOR = 1e-14
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Which kernel to scan: the kind, the square, the level, and (for
-    comparison kernels) the constant c, finite and positive."""
+    """Which kernel to scan: the kind, the level, and (for comparison
+    kernels) the constant c, finite and positive."""
 
     kind: str
-    iv: Interval
     n: int
     c: Optional[float] = None
 
@@ -87,7 +89,9 @@ class ScanReport:
     where ``scale`` is the largest absolute kernel value seen on the
     grid.  ``worst`` is the violation ``(t, tau, value)`` of largest
     ``|value|``, the first in row-major grid order on ties, or None
-    when there is no violation.
+    when there is no violation.  Points, values and ``scale`` are those
+    of the unit square; on [a, b]^2 of width w the worst point is the
+    affine image ``(a + w t, a + w tau)`` and values are w^4 as large.
     """
 
     grid_resolution: int
@@ -165,32 +169,33 @@ def phi(variant: str, iv: Interval, n: int, c: float, t: float, tau: float) -> f
     return (c + 1.0) * k22(iv, 2 * n, t, tau) - c * k22(iv, n, t, tau)
 
 
-# Vectorized closed forms of the univariate kernels, used by the grid
-# scans.  They factor per panel, so node values are exact zeros and the
-# trapezium kernel is nonpositive in floating point as well.
+# Vectorized closed forms of the univariate kernels on [0, 1], used by
+# the grid scans.  They factor per panel, so node values are exact zeros
+# and the trapezium kernel is nonpositive in floating point as well.
 
-def _k2_mid_grid(g: np.ndarray, iv: Interval) -> np.ndarray:
+def _k2_mid_grid(g: np.ndarray) -> np.ndarray:
     import numpy as np
 
-    return 0.5 * (g - iv.a) ** 2 - iv.width * np.maximum(g - iv.midpoint, 0.0)
+    return 0.5 * g ** 2 - np.maximum(g - 0.5, 0.0)
 
-def _k2_trap_grid(g: np.ndarray, iv: Interval, n: int) -> np.ndarray:
+def _k2_trap_grid(g: np.ndarray, n: int) -> np.ndarray:
     import numpy as np
 
-    h = iv.width / n
-    panel = np.clip(np.floor((g - iv.a) / h), 0, n - 1)
-    xi = g - (iv.a + panel * h)
+    h = 1.0 / n
+    panel = np.clip(np.floor(g / h), 0, n - 1)
+    xi = g - panel * h
     return 0.5 * xi * (xi - h)
 
-def _k2_ends_grid(g: np.ndarray, iv: Interval) -> np.ndarray:
-    return 0.5 * (g - iv.a) * (g - iv.b)
+def _k2_ends_grid(g: np.ndarray) -> np.ndarray:
+    return 0.5 * g * (g - 1.0)
 
 
 def definiteness_scan(spec: KernelSpec, resolution: int) -> ScanReport:
     """Check the sign a kernel kind keeps on a uniform grid.
 
     Evaluates the kernel at all ``(resolution + 1)^2`` points of the
-    uniform tensor grid over the square, counts the points whose value
+    uniform tensor grid over the unit square, which decides the sign on
+    every square (see the module docstring), counts the points whose value
     breaks the kind's sign (nonpositive for 'k22_s_minus' and
     'phi_plus', nonnegative for 'k22_s_plus' and 'phi_minus') by more
     than the slack
@@ -207,13 +212,13 @@ def definiteness_scan(spec: KernelSpec, resolution: int) -> ScanReport:
     import numpy as np
 
     _hold_heap(np)
-    iv, n, c = spec.iv, spec.n, spec.c
+    n, c = spec.n, spec.c
     expected = _KERNEL_SIGNS[spec.kind]
     size = resolution + 1
-    grid = np.linspace(iv.a, iv.b, size)
-    U = _k2_mid_grid(grid, iv) if spec.kind.endswith("minus") else _k2_ends_grid(grid, iv)
-    Tn = _k2_trap_grid(grid, iv, n)
-    T2n = _k2_trap_grid(grid, iv, 2 * n) if spec.kind.startswith("phi") else None
+    grid = np.linspace(0.0, 1.0, size)
+    U = _k2_mid_grid(grid) if spec.kind.endswith("minus") else _k2_ends_grid(grid)
+    Tn = _k2_trap_grid(grid, n)
+    T2n = _k2_trap_grid(grid, 2 * n) if spec.kind.startswith("phi") else None
 
     block = max(1, _BLOCK_POINTS // size)
     # |value| of the sign-breaking points of each block.  The slack needs

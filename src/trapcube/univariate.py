@@ -37,7 +37,8 @@ class Interval:
     Parameters
     ----------
     a, b : float
-        Endpoints with ``a < b`` (strict).
+        Finite endpoints with ``a < b`` (strict) and a finite width
+        ``b - a``.
     """
 
     a: float
@@ -48,6 +49,10 @@ class Interval:
             raise ValueError("interval endpoints must be finite")
         if not self.a < self.b:
             raise ValueError(f"degenerate interval: a={self.a!r} must be < b={self.b!r}")
+        if not math.isfinite(self.b - self.a):
+            raise ValueError(
+                f"interval width b - a overflows: a={self.a!r}, b={self.b!r}"
+            )
 
     @property
     def width(self) -> float:

@@ -91,7 +91,7 @@ def test_criterion_3_definiteness_scans():
     start = time.perf_counter()
     for n in (1, 2, 3, 4, 8):
         for kind in ("k22_s_minus", "k22_s_plus"):
-            report = definiteness_scan(KernelSpec(kind=kind, iv=UNIT, n=n), 200)
+            report = definiteness_scan(KernelSpec(kind=kind, n=n), 200)
             assert report.violations == 0, (kind, n, report.max_abs_violation)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
@@ -130,21 +130,21 @@ def test_criterion_4_monotone_halving_and_bound_domination():
 def test_criterion_5_threshold_sharpness(n):
     resolution = 1024 * n  # multiple of 4n, fine enough to see the dips
     at_critical = definiteness_scan(
-        KernelSpec(kind="phi_minus", iv=UNIT, n=n, c=1.0), resolution
+        KernelSpec(kind="phi_minus", n=n, c=1.0), resolution
     )
     assert at_critical.violations == 0, ("minus at c=1", n)
     below = definiteness_scan(
-        KernelSpec(kind="phi_minus", iv=UNIT, n=n, c=1.0 - 1e-2), resolution
+        KernelSpec(kind="phi_minus", n=n, c=1.0 - 1e-2), resolution
     )
     assert below.violations >= 1, ("minus below critical", n)
 
     critical = (4.0 * n - 1.0) / (4.0 * n - 3.0)
     at_critical_p = definiteness_scan(
-        KernelSpec(kind="phi_plus", iv=UNIT, n=n, c=critical), resolution
+        KernelSpec(kind="phi_plus", n=n, c=critical), resolution
     )
     assert at_critical_p.violations == 0, ("plus at critical", n)
     below_p = definiteness_scan(
-        KernelSpec(kind="phi_plus", iv=UNIT, n=n, c=critical - 1e-2), resolution
+        KernelSpec(kind="phi_plus", n=n, c=critical - 1e-2), resolution
     )
     assert below_p.violations >= 1, ("plus below critical", n)
     print(f"criterion 5 (n={n}): comparison-kernel scans flip exactly at the "

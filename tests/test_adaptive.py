@@ -98,7 +98,7 @@ def test_refine_monotone_one_sided_approach():
 
 
 def test_refine_max_n_reached_still_reports():
-    report = refine(EXP, UNIT, "s_minus", tol=1e-15, n0=4, max_n=16)
+    report = refine(EXP, UNIT, "s_minus", tol=1e-15, max_n=16)
     assert report.termination == "max_n_reached"
     assert [lv.n for lv in report.levels] == [4, 8, 16]
     assert report.final_bound > 1e-15
@@ -111,10 +111,8 @@ def test_refine_validation():
         refine(EXP, UNIT, "s_mid", tol=1e-4)
     with pytest.raises(ValueError):
         refine(EXP, UNIT, "s_minus", tol=0.0)
-    with pytest.raises(ValueError):
-        refine(EXP, UNIT, "s_minus", tol=1e-4, n0=8, max_n=8)
-    with pytest.raises(ValueError):
-        refine(EXP, UNIT, "s_minus", tol=1e-4, n0=0)
+    with pytest.raises(ValueError, match="need >= 8, got 7"):
+        refine(EXP, UNIT, "s_minus", tol=1e-4, max_n=7)
 
 
 def test_refine_mean_estimates_are_rule_midpoints():
@@ -215,8 +213,8 @@ def test_table_columns_are_the_refinement_pair_bounds():
     """`trapcube table` and `refine` take their pair bounds from one place."""
     _, rows = table_rows("exp_xy", [4])
     F = BUILTINS["exp_xy"].integrand
-    minus = refine(F, UNIT, "s_minus", tol=1.0, n0=4).levels[1]
-    plus = refine(F, UNIT, "s_plus", tol=1.0, n0=4).levels[1]
+    minus = refine(F, UNIT, "s_minus", tol=1.0).levels[1]
+    plus = refine(F, UNIT, "s_plus", tol=1.0).levels[1]
     assert minus.n == plus.n == 8
     assert rows[0].half_diff_minus == minus.table_bound
     assert rows[0].bound_plus == plus.aposteriori_bound
@@ -224,12 +222,12 @@ def test_table_columns_are_the_refinement_pair_bounds():
 
 def test_refine_evaluates_each_level_grid_once_with_exact_traces(counted_exp_xy):
     F, calls = counted_exp_xy
-    report = refine(F, UNIT, "s_minus", tol=1e-4, n0=4)
+    report = refine(F, UNIT, "s_minus", tol=1e-4)
     assert [lv.n for lv in report.levels] == [4, 8, 18, 36]
     assert calls[0] == 25 + 81 + 361 + 1369
     for solve in (
-        lambda: refine(F, UNIT, "s_plus", tol=1e-6, n0=4),
-        lambda: refine_mean(F, UNIT, tol=1e-6, n0=4),
+        lambda: refine(F, UNIT, "s_plus", tol=1e-6),
+        lambda: refine_mean(F, UNIT, tol=1e-6),
     ):
         calls[0] = 0
         report = solve()
@@ -354,7 +352,7 @@ def test_predicted_levels_count_only_grid_points(counted_exp_xy, rule, tol):
 
 
 def test_predicted_levels_evaluate_fewer_points_than_doubling(counted_exp_xy):
-    """Doubling from n0 = 4 would stop at the first power-of-two pair
+    """Doubling from level 4 would stop at the first power-of-two pair
     whose difference meets tol, (256, 512) here, after 351,568 points."""
     F, calls = counted_exp_xy
     report = refine(F, UNIT, "s_minus", 1e-6, max_n=4096)
@@ -372,7 +370,7 @@ def test_predicted_levels_evaluate_fewer_points_than_doubling(counted_exp_xy):
 @pytest.mark.parametrize("rule", ["s_minus", "s_plus"])
 def test_predicted_levels_end_on_the_cap_pair_below_the_trace_budget(rule):
     """A tolerance under the Romberg budget cannot be met at any level, so
-    the refinement goes straight from (n0, 2 n0) to (max_n/2, max_n)."""
+    the refinement goes straight from (4, 8) to (max_n/2, max_n)."""
     report = refine(EXP, UNIT, rule, 1e-13, max_n=64)
     assert report.levels[-1].trace_budget > 1e-13
     assert report.termination == "max_n_reached"

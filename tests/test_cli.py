@@ -21,6 +21,8 @@ def run(capsys, *argv):
 
 
 def test_builtins_are_fully_wired():
+    """Every built-in has a closed form for all six traces, so no CLI
+    path integrates a trace by Romberg, the only source of ConvergenceError."""
     assert set(BUILTINS) == {"exp_xy", "sin_xy", "poly_x2y2", "bilinear_xy"}
     for b in BUILTINS.values():
         assert b.integrand.d22_sign in ("nonnegative", "nonpositive")
@@ -105,7 +107,7 @@ def test_integrate_bilinear_converges_at_first_doubling(capsys):
     assert code == 0
     assert "final value: 0.25" in out
     rows = [line for line in out.splitlines() if line.strip() and line.split()[0].isdigit()]
-    assert len(rows) == 2  # n0 and one doubling
+    assert len(rows) == 2  # levels 4 and 8
 
 
 def test_integrate_mean_hits_reference(capsys):
@@ -177,7 +179,9 @@ def test_integrate_usage_errors(capsys):
     assert run(capsys, "integrate", "--fn", "nope", "--rule", "minus", "--tol", "1e-4")[0] == 2
     assert run(capsys, "integrate", "--fn", "exp_xy", "--rule", "minus", "--tol", "-1")[0] == 2
     assert run(capsys, "integrate", "--fn", "exp_xy", "--rule", "minus", "--tol", "1e-4", "--a", "2", "--b", "1")[0] == 2
-    assert run(capsys, "integrate", "--fn", "exp_xy", "--rule", "minus", "--tol", "1e-4", "--n0", "8", "--max-n", "8")[0] == 2
+    assert run(capsys, "integrate", "--fn", "exp_xy", "--rule", "minus", "--tol", "1e-4", "--max-n", "7")[0] == 2
+    # The refinement always starts at level 4: there is no --n0.
+    assert run(capsys, "integrate", "--fn", "exp_xy", "--rule", "minus", "--tol", "1e-4", "--n0", "8")[0] == 2
     # An unreachable tolerance sends the refinement to the cap, so the cap
     # itself is bounded.
     code, out, err = run(
@@ -185,6 +189,13 @@ def test_integrate_usage_errors(capsys):
     )
     assert (code, out) == (2, "")
     assert err == "error: max-n must be at most 16384, got 100000000\n"
+    # Finite ends whose difference overflows.
+    code, out, err = run(
+        capsys, "integrate", "--fn", "poly_x2y2", "--rule", "plus", "--tol", "1e-3",
+        "--a=-1e308", "--b=1e308",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: interval width b - a overflows: a=-1e+308, b=1e+308\n"
 
 
 @pytest.mark.parametrize("fn_id,a,b,proven", [
@@ -335,6 +346,10 @@ def test_scan_at_critical_constant_is_clean(capsys):
 def test_scan_usage_errors(capsys):
     assert run(capsys, "scan", "--kernel", "simpson", "--n", "2")[0] == 2
     assert run(capsys, "scan", "--kernel", "k22-plus", "--n", "0")[0] == 2
+    # The scan runs on [0, 1]^2, which decides every square: there is no
+    # --a or --b.
+    assert run(capsys, "scan", "--kernel", "k22-plus", "--n", "2", "--a", "0")[0] == 2
+    assert run(capsys, "scan", "--kernel", "phi-minus", "--n", "2", "--c", "0.5", "--a=-1e308", "--b=1e308")[0] == 2
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -42,20 +42,20 @@ unit_coords = st.floats(min_value=0.0, max_value=1.0)
 
 def test_kernel_spec_validation():
     with pytest.raises(ValueError):
-        KernelSpec(kind="k22", iv=UNIT, n=1)
+        KernelSpec(kind="k22", n=1)
     with pytest.raises(ValueError):
-        KernelSpec(kind="k22_s_minus", iv=UNIT, n=0)
+        KernelSpec(kind="k22_s_minus", n=0)
     with pytest.raises(ValueError):
-        KernelSpec(kind="phi_minus", iv=UNIT, n=2)  # c required
+        KernelSpec(kind="phi_minus", n=2)  # c required
     with pytest.raises(ValueError):
-        KernelSpec(kind="phi_plus", iv=UNIT, n=2, c=0.0)
+        KernelSpec(kind="phi_plus", n=2, c=0.0)
     # An infinite c makes every phi value NaN (inf - inf, inf * 0), which
     # a sign scan would count as no violation.
     for c in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite c > 0"):
-            KernelSpec(kind="phi_minus", iv=UNIT, n=2, c=c)
+            KernelSpec(kind="phi_minus", n=2, c=c)
     with pytest.raises(ValueError):
-        KernelSpec(kind="k22_s_plus", iv=UNIT, n=2, c=1.0)  # c meaningless
+        KernelSpec(kind="k22_s_plus", n=2, c=1.0)  # c meaningless
 
 
 @given(t=unit_coords, tau=unit_coords, n=st.integers(min_value=1, max_value=6))
@@ -94,6 +94,33 @@ def test_mixed_arrangement_agrees_with_three_term_form(n):
             assert abs(direct - mixed) <= 1e-13 * scale
 
 
+#: The point kernels as functions of (iv, n, t, tau).
+_POINT_KERNELS = {
+    "k22_s_minus": k22_s_minus,
+    "k22_s_plus": k22_s_plus,
+    "phi_minus": lambda iv, n, t, tau: phi("minus", iv, n, 1.1, t, tau),
+    "phi_plus": lambda iv, n, t, tau: phi("plus", iv, n, 1.4, t, tau),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_POINT_KERNELS))
+@pytest.mark.parametrize("a,b", [(-1.0, 2.0), (0.3, 0.7), (-0.5, 1.75)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_kernels_scale_by_the_fourth_power_of_the_width(kind, a, b, n):
+    """On [a, b]^2 of width w every kernel is w^4 times its unit-square
+    value at the mapped point, so a scan of [0, 1]^2 decides its sign
+    on every square."""
+    kernel = _POINT_KERNELS[kind]
+    iv = Interval(a, b)
+    w = iv.width
+    tol = 1e-12 * w**4 / (64 * n * n)
+    unit = [i / 12 for i in range(13)] + [0.137, 0.61]
+    for u in unit:
+        for v in unit:
+            mapped = kernel(iv, n, a + w * u, a + w * v)
+            assert abs(mapped - w**4 * kernel(UNIT, n, u, v)) <= tol, (u, v)
+
+
 def test_phi_is_the_documented_combination():
     n, c, t, tau = 3, 1.25, 0.37, 0.81
     expected = (c + 1) * k22_s_minus(UNIT, 2 * n, t, tau) - c * k22_s_minus(UNIT, n, t, tau)
@@ -118,7 +145,7 @@ def test_phi_validation():
 ])
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_scan_clean_for_rule_kernels(kind, expected, n):
-    report = definiteness_scan(KernelSpec(kind=kind, iv=UNIT, n=n), 41)
+    report = definiteness_scan(KernelSpec(kind=kind, n=n), 41)
     assert report.expected_sign == expected
     assert report.ok
     assert report.violations == 0
@@ -131,42 +158,41 @@ def test_scan_clean_for_rule_kernels(kind, expected, n):
 def test_scan_vectorized_grid_agrees_with_scalar_kernel():
     """The scan's factored closed forms match the public point evaluator."""
     n, res = 3, 24
-    spec = KernelSpec(kind="k22_s_minus", iv=Interval(-1.0, 2.0), n=n)
-    report = definiteness_scan(spec, res)
+    report = definiteness_scan(KernelSpec(kind="k22_s_minus", n=n), res)
     assert report.ok
-    grid = [spec.iv.a + i * spec.iv.width / res for i in range(res + 1)]
+    grid = [i / res for i in range(res + 1)]
     scale = max(
-        abs(k22_s_minus(spec.iv, n, t, tau)) for t in grid for tau in grid
+        abs(k22_s_minus(UNIT, n, t, tau)) for t in grid for tau in grid
     )
     assert report.scale == pytest.approx(scale, rel=1e-12)
 
 
 def test_scan_threshold_behaviour_of_comparison_kernels():
     # at the critical constant the scan is clean; just below it fails
-    clean = definiteness_scan(KernelSpec(kind="phi_minus", iv=UNIT, n=4, c=1.0), 32 * 4)
+    clean = definiteness_scan(KernelSpec(kind="phi_minus", n=4, c=1.0), 32 * 4)
     assert clean.ok
-    dirty = definiteness_scan(KernelSpec(kind="phi_minus", iv=UNIT, n=4, c=0.9), 1024)
+    dirty = definiteness_scan(KernelSpec(kind="phi_minus", n=4, c=0.9), 1024)
     assert not dirty.ok
     assert dirty.max_abs_violation > 0.0
     assert dirty.max_abs_violation > SCAN_SLACK_FACTOR * dirty.scale
 
     n = 2
     critical = (4.0 * n - 1.0) / (4.0 * n - 3.0)
-    clean_p = definiteness_scan(KernelSpec(kind="phi_plus", iv=UNIT, n=n, c=critical), 32 * n)
+    clean_p = definiteness_scan(KernelSpec(kind="phi_plus", n=n, c=critical), 32 * n)
     assert clean_p.ok
     dirty_p = definiteness_scan(
-        KernelSpec(kind="phi_plus", iv=UNIT, n=n, c=critical - 0.05), 1024 * n
+        KernelSpec(kind="phi_plus", n=n, c=critical - 0.05), 1024 * n
     )
     assert not dirty_p.ok
 
     # At n = 1 the edge threshold is still (4n-1)/(4n-3) = 3, but the
     # mid-line kernel keeps its sign down to c = 1/3, below the 1 that
     # holds for n >= 2.
-    assert definiteness_scan(KernelSpec(kind="phi_plus", iv=UNIT, n=1, c=3.0), 256).ok
-    assert definiteness_scan(KernelSpec(kind="phi_plus", iv=UNIT, n=1, c=2.9), 256).violations == 60
+    assert definiteness_scan(KernelSpec(kind="phi_plus", n=1, c=3.0), 256).ok
+    assert definiteness_scan(KernelSpec(kind="phi_plus", n=1, c=2.9), 256).violations == 60
     for c in (1.0, 0.34, 1.0 / 3.0):
-        assert definiteness_scan(KernelSpec(kind="phi_minus", iv=UNIT, n=1, c=c), 64).ok
-    assert definiteness_scan(KernelSpec(kind="phi_minus", iv=UNIT, n=1, c=0.3), 64).violations == 1228
+        assert definiteness_scan(KernelSpec(kind="phi_minus", n=1, c=c), 64).ok
+    assert definiteness_scan(KernelSpec(kind="phi_minus", n=1, c=0.3), 64).violations == 1228
 
 
 def _row_loop_scan(spec, resolution):
@@ -176,12 +202,12 @@ def _row_loop_scan(spec, resolution):
     Returns the report and the full row-major list of violations it is
     derived from.
     """
-    iv, n, c = spec.iv, spec.n, spec.c
+    n, c = spec.n, spec.c
     expected = SIGNS[spec.kind]
-    grid = np.linspace(iv.a, iv.b, resolution + 1)
-    U = _k2_mid_grid(grid, iv) if spec.kind.endswith("minus") else _k2_ends_grid(grid, iv)
-    Tn = _k2_trap_grid(grid, iv, n)
-    T2n = _k2_trap_grid(grid, iv, 2 * n)
+    grid = np.linspace(0.0, 1.0, resolution + 1)
+    U = _k2_mid_grid(grid) if spec.kind.endswith("minus") else _k2_ends_grid(grid)
+    Tn = _k2_trap_grid(grid, n)
+    T2n = _k2_trap_grid(grid, 2 * n)
     candidates = []
     scale = 0.0
     for i in range(resolution + 1):
@@ -234,15 +260,16 @@ _BREAKING_SPECS = [
 @pytest.mark.parametrize("kind,c", [
     pytest.param(kind, c, id=f"{SIGNS[kind]}-{kind}-{c}") for kind, c in _SCAN_SPECS + _BREAKING_SPECS
 ])
-@pytest.mark.parametrize("iv,n,resolution", [
-    (UNIT, 4, 100),
-    (Interval(-1.0, 2.0), 3, 130),
-    (Interval(0.3, 0.7), 1, 7),
+# The ids keep the suite's names for these three grids.
+@pytest.mark.parametrize("n,resolution", [
+    pytest.param(4, 100, id="iv0-4-100"),
+    pytest.param(3, 130, id="iv1-3-130"),
+    pytest.param(1, 7, id="iv2-1-7"),
 ])
-def test_block_scan_equals_row_loop(kind, c, iv, n, resolution):
+def test_block_scan_equals_row_loop(kind, c, n, resolution):
     """Block-wise scans of small grids give the row loop's report bit for
     bit, clean or not; grids split across blocks are tested below."""
-    spec = KernelSpec(kind=kind, iv=iv, n=n, c=c)
+    spec = KernelSpec(kind=kind, n=n, c=c)
     report = definiteness_scan(spec, resolution)
     assert _hex(report) == _hex(_row_loop_scan(spec, resolution)[0])
     if (kind, c) in _BREAKING_SPECS:
@@ -266,7 +293,7 @@ def test_block_scan_equals_row_loop_across_blocks(kind, c, expected, n, resoluti
     block, keep the row loop's report."""
     rows_per_block = max(1, _BLOCK_POINTS // (resolution + 1))
     assert resolution + 1 > rows_per_block
-    spec = KernelSpec(kind=kind, iv=UNIT, n=n, c=c)
+    spec = KernelSpec(kind=kind, n=n, c=c)
     report = definiteness_scan(spec, resolution)
     reference, violations = _row_loop_scan(spec, resolution)
     assert report.expected_sign == expected
@@ -278,7 +305,7 @@ def test_block_scan_equals_row_loop_across_blocks(kind, c, expected, n, resoluti
 def test_scan_worst_point_is_the_first_in_row_major_order_on_ties():
     """phi is symmetric in (t, tau), so its largest violation here is
     reached at two mirrored points in different blocks."""
-    spec = KernelSpec(kind="phi_plus", iv=UNIT, n=2, c=1.3)
+    spec = KernelSpec(kind="phi_plus", n=2, c=1.3)
     report = definiteness_scan(spec, 1000)
     _, violations = _row_loop_scan(spec, 1000)
     assert len(violations) == report.violations == 1860
@@ -294,7 +321,7 @@ def test_dense_violation_scan_memory_does_not_grow_with_the_violations():
     16 bytes per grid point (a (t, tau, value) tuple per violation took
     over 200)."""
     resolution = 1000
-    spec = KernelSpec(kind="phi_minus", iv=UNIT, n=4, c=0.01)
+    spec = KernelSpec(kind="phi_minus", n=4, c=0.01)
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
@@ -311,7 +338,7 @@ def test_dense_violation_scan_memory_does_not_grow_with_the_violations():
 
 
 def test_scan_rejects_bad_arguments():
-    spec = KernelSpec(kind="k22_s_minus", iv=UNIT, n=1)
+    spec = KernelSpec(kind="k22_s_minus", n=1)
     with pytest.raises(ValueError, match="resolution must be >= 2"):
         definiteness_scan(spec, 1)
 

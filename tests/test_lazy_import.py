@@ -65,7 +65,7 @@ def test_scalar_solves_and_help_do_not_import_numpy():
 
 @pytest.mark.parametrize("call", [
     'enclosure(Integrand2D(f=lambda x, y: x * y, d22_sign="nonnegative", vectorized=True), iv, 4, 4)',
-    'definiteness_scan(KernelSpec("k22_s_plus", iv, 2), 16)',
+    'definiteness_scan(KernelSpec("k22_s_plus", 2), 16)',
     'brute_force_integral(lambda x, y: x * y, iv, 2)',
     'trapcube.cli.main(["integrate", "--fn", "exp_xy", "--rule", "mean", "--tol", "1e-3"])',
 ], ids=["vectorized-enclosure", "scan", "oracle", "cli-integrate-exp_xy"])

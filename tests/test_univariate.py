@@ -33,6 +33,10 @@ def test_interval_validation():
         Interval(0.0, math.inf)
     with pytest.raises(ValueError):
         Interval(math.nan, 1.0)
+    # Finite ends whose difference overflows: every node and kernel value
+    # would be inf or NaN.
+    with pytest.raises(ValueError, match="width b - a overflows"):
+        Interval(-1e308, 1e308)
 
 
 def test_interval_geometry():

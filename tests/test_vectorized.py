@@ -52,7 +52,8 @@ def _bits(v):
 
 
 def _results(F, iv, n):
-    """``(kind, value, scale)`` of every rule and driver at level n.
+    """``(kind, value, scale)`` of every rule and the enclosure at level
+    n, and of the refinements up to ``max(2n, 96)``.
 
     ``scale`` is the estimate a bound belongs to; a ValueError (an empty
     enclosure from rounding) is recorded as its message.
@@ -67,8 +68,8 @@ def _results(F, iv, n):
     except ValueError as exc:
         out.append(("error", str(exc), None))
     max_n = max(2 * n, 96)
-    reports = [refine(F, iv, rule, 1e-12, n0=n, max_n=max_n) for rule in ("s_minus", "s_plus")]
-    reports.append(refine_mean(F, iv, 1e-12, n0=n, max_n=max_n))
+    reports = [refine(F, iv, rule, 1e-12, max_n=max_n) for rule in ("s_minus", "s_plus")]
+    reports.append(refine_mean(F, iv, 1e-12, max_n=max_n))
     for report in reports:
         for lv in report.levels:
             out.append(("level", lv.n, None))
@@ -83,8 +84,8 @@ def _results(F, iv, n):
 @pytest.mark.parametrize("n", [3, 5, 7, 100])
 @pytest.mark.parametrize("fn_id", sorted(BUILTINS))
 def test_vectorized_builtin_agrees_with_scalar_math_copy(fn_id, n):
-    """Odd n puts the mid-lines off the grid; the refinement levels
-    from n=100 split rows unevenly across blocks."""
+    """Odd n puts the mid-lines off the grid, and n=100 splits rows
+    unevenly across blocks, in the rule and enclosure calls."""
     vector = BUILTINS[fn_id].integrand
     assert vector.vectorized
     scalar = dataclasses.replace(vector, f=MATH_FORMS[fn_id], vectorized=False)
