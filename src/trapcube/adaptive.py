@@ -144,35 +144,30 @@ def _level_schedule(
     """Levels of a solve, each chosen from the rows so far.
 
     The refinement loop appends a row to ``levels`` before it asks for
-    the next level, so each prediction reads the last bound.  The mid-line
-    rule, alone or in the mean, gets even levels, so that its mid-lines
-    can be grid lines; they are only where node n/2 rounds to the
-    interval midpoint, and elsewhere the grid pass evaluates them off the
-    grid.  The iterator ends once the next level would not be finer,
-    which happens only at the cap.
+    the next level, so each prediction reads the last bound.  Each round
+    yields a level m, unless the last row already has it, and for a
+    one-sided rule its pair 2m; the next m is predicted from the last
+    row, from its half level for a pair.  The mid-line rule, alone or in
+    the mean, gets even levels, whose mid-lines are grid lines.  The
+    iterator ends once the next level would not be finer, which happens
+    only at the cap.
     """
+    pairs = rule != "mean"
     even = rule != "s_plus"
-    yield _N0
-    if rule == "mean":
-        cap = max_n - max_n % 2
-        while True:
-            last = levels[-1]
-            n = _predict(last.n, last.aposteriori_bound, last.trace_budget, tol, cap, even)
-            if n <= last.n:
-                return
-            yield n
-    cap = max_n // 2
+    cap = max_n // 2 if pairs else max_n
     if even:
         cap -= cap % 2
-    yield 2 * _N0
+    m = _N0
     while True:
-        last = levels[-1]
-        m = _predict(last.n // 2, last.aposteriori_bound, last.trace_budget, tol, cap, even)
-        if m <= last.n // 2:
-            return
-        if m != last.n:
+        if not levels or levels[-1].n != m:
             yield m
-        yield 2 * m
+        if pairs:
+            yield 2 * m
+        last = levels[-1]
+        base = last.n // 2 if pairs else last.n
+        m = _predict(base, last.aposteriori_bound, last.trace_budget, tol, cap, even)
+        if m <= base:
+            return
 
 
 def _refine(

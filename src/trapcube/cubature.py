@@ -71,9 +71,9 @@ class Integrand2D:
         calls ``f(X, Y)`` on blocks of rows, with X a column of x nodes
         of shape ``(r, 1)`` and Y the row of y nodes of shape
         ``(1, n+1)``; the result must broadcast to ``(r, n+1)``, so a
-        constant integrand may return a scalar.  Off-grid lines and
-        traces still call f on floats.  Default False: every point is a
-        scalar call, which is the reference path.
+        constant integrand may return a scalar.  The mid-lines of odd
+        levels and Romberg traces still call f on floats.  Default
+        False: every point is a scalar call, which is the reference path.
     """
 
     f: Callable[[float, float], float]
@@ -163,8 +163,8 @@ class _GridPass(NamedTuple):
     """Everything one evaluation of the (n+1)^2 grid yields.
 
     ``sums`` maps a trace id to the trapezium sum ``Q_n`` of that trace.
-    The four edges are always present; the mid-lines only when they are
-    grid lines, i.e. n is even and node n/2 is the interval midpoint.
+    The four edges are always present; the mid-lines when n is even,
+    where node n/2 of the grid is the interval midpoint.
     """
 
     n: int
@@ -278,7 +278,7 @@ def _row_fsums(T: np.ndarray) -> List[float]:
 
 
 #: Row sums, then the down, up and horizontal mid-line trace terms, one
-#: per row (the last empty when the mid-line is not a grid line).
+#: per row (the last empty at odd n, where the mid-line is off the grid).
 _Rows = Tuple[List[float], List[float], List[float], List[float]]
 
 
@@ -384,23 +384,25 @@ def _array_rows(
 def _grid_pass(F: Integrand2D, iv: Interval, n: int) -> _GridPass:
     """Evaluate f once on the grid: ``C_n`` and the trace sums on grid lines.
 
-    Each row's terms ``wy * v`` are summed to ``math.fsum``'s value, and
-    the row sums are combined with ``fsum`` in index order.  The trace
-    along row i is that row's sum, and a column's trace term in row i is
-    ``terms[c] * (wx / weights[c])``, where the weight ratio is exactly
-    1, 2 or 1/2; each column is summed with one ``fsum``.  So every sum
-    equals the one :func:`apply` computes on the trace bit for bit,
-    except where the terms are subnormal: a subnormal ``terms[c]`` holds
-    fewer bits than ``wx * v``, and halving one may round, so a column
-    sum can then differ from :func:`apply`'s in its last bits.  The
-    scalar path calls ``math.fsum`` per row; a vectorized integrand's
-    blocks are summed by :func:`_row_fsums`, which returns the same
-    values, so it gives the scalar path's result whenever its values are
-    equal, subnormal terms included.
+    The grid lines are those of :func:`trapezium_rule`, whose node n/2 is
+    the interval midpoint at even n, so there the mid-lines are a row and
+    a column of the grid.  Each row's terms ``wy * v`` are summed to
+    ``math.fsum``'s value, and the row sums are combined with ``fsum`` in
+    index order.  The trace along row i is that row's sum, and a column's
+    trace term in row i is ``terms[c] * (wx / weights[c])``, where the
+    weight ratio is exactly 1, 2 or 1/2; each column is summed with one
+    ``fsum``.  So every sum equals the one :func:`apply` computes on the
+    trace bit for bit, except where the terms are subnormal: a subnormal
+    ``terms[c]`` holds fewer bits than ``wx * v``, and halving one may
+    round, so a column sum can then differ from :func:`apply`'s in its
+    last bits.  The scalar path calls ``math.fsum`` per row; a vectorized
+    integrand's blocks are summed by :func:`_row_fsums`, which returns the
+    same values, so it gives the scalar path's result whenever its values
+    are equal, subnormal terms included.
     """
     rule = trapezium_rule(iv, n)
     nodes, weights = rule.nodes, rule.weights
-    mid = n // 2 if n % 2 == 0 and nodes[n // 2] == iv.midpoint else None
+    mid = n // 2 if n % 2 == 0 else None
     rows = _array_rows if F.vectorized else _scalar_rows
     row_fsums, down, up, horizontal = rows(F.f, nodes, weights, mid)
     sums = {
@@ -441,8 +443,9 @@ def _combine(
 ) -> CubatureEstimate:
     """One-sided rule value from a grid pass and its trace integrals.
 
-    A mid-line that is not a grid line gets its trapezium sum here, so
-    only the mid-line rule ever evaluates f off the grid.
+    At odd n the mid-lines are not grid lines and get their trapezium
+    sums here, so only the mid-line rule at an odd level evaluates f off
+    the grid.
     """
     remainders = []
     budgets = []

@@ -273,19 +273,18 @@ def psi(variant: str, k: int, l: int, n: int, c: float, u: float, v: float) -> f
     On the unit square with fine mesh ``h = 1/(2n)``, the comparison
     kernel restricted to the cell with lower-left corner
     ``(2k h, 2l h)`` becomes a polynomial in the local coordinates
-    ``(u, v)`` in [0,1]^2.  The 'minus' variant includes the cell-width
-    factor ``h^4`` and satisfies ``4 phi = psi``; the 'plus' variant is
-    stated in units of ``h^4``, so there the identity reads
-    ``4 phi = h^4 psi``.  Exposed for closed-form inspection of the
-    critical constants; the identities themselves are covered by tests.
+    ``(u, v)`` in [0,1]^2.  Both variants are stated in units of the
+    cell-width factor ``h^4``, so ``4 phi = h^4 psi``, and their
+    coefficients are integers and c.  Exposed for closed-form inspection
+    of the critical constants; the identities themselves are covered by
+    tests.
     """
     if not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
         raise ValueError(f"local coordinates ({u!r}, {v!r}) outside the unit square")
     _check_cell(k, l, n)
     shared = -u * v * (1.0 - u) * (1.0 - v) + c * u * v * (3.0 - u - v)
     if variant == "minus":
-        h4 = (0.5 / n) ** 4
-        return h4 * (
+        return (
             (2 * k + u) ** 2 * v * (v - 1.0 + c)
             + (2 * l + v) ** 2 * u * (u - 1.0 + c)
             + shared

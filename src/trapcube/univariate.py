@@ -11,6 +11,7 @@ one-sided.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -60,7 +61,9 @@ class Interval:
 
     @property
     def midpoint(self) -> float:
-        return 0.5 * (self.a + self.b)
+        """``0.5*a + 0.5*b``, which rounds as ``0.5*(a + b)`` does except
+        where both ends are subnormal, and cannot overflow."""
+        return 0.5 * self.a + 0.5 * self.b
 
 
 @dataclass(frozen=True)
@@ -107,8 +110,16 @@ class ConvergenceError(RuntimeError):
 def trapezium_rule(iv: Interval, n: int) -> QuadratureRule:
     """Composite trapezium rule with n panels on iv.
 
-    Nodes are the n+1 equispaced points ``a + i*h`` with ``h=(b-a)/n``;
-    interior weights are h, the two end weights h/2.
+    Nodes are the n+1 equispaced points ``a + i*h`` with ``h=(b-a)/n``,
+    except that node n is b and, at even n, node n/2 is ``iv.midpoint``,
+    so the mid-lines are grid lines at every even level.  Interior
+    weights are h, the two end weights h/2.
+
+    Raises
+    ------
+    ValueError
+        If n < 1, or if h is below the smallest normal float: a subnormal
+        h can be off by up to half its value.
 
     Examples
     --------
@@ -122,10 +133,14 @@ def trapezium_rule(iv: Interval, n: int) -> QuadratureRule:
         raise ValueError(f"panel count must be >= 1, got {n}")
     a, b = iv.a, iv.b
     h = (b - a) / n
-    # Force exact endpoint hits; intermediate nodes from one multiplication each.
-    nodes = tuple(a + i * h for i in range(n)) + (b,)
+    if h < sys.float_info.min:
+        raise ValueError(f"panel width {h!r} of {n} panels on [{a!r}, {b!r}] is below the smallest normal float")
+    # Force exact hits of b and the midpoint; other nodes from one multiplication each.
+    nodes = [a + i * h for i in range(n)] + [b]
+    if n % 2 == 0:
+        nodes[n // 2] = iv.midpoint
     weights = (0.5 * h,) + (h,) * (n - 1) + (0.5 * h,)
-    return QuadratureRule(iv, nodes, weights)
+    return QuadratureRule(iv, tuple(nodes), weights)
 
 
 def midpoint_rule(iv: Interval) -> QuadratureRule:

@@ -351,6 +351,18 @@ def test_predicted_levels_count_only_grid_points(counted_exp_xy, rule, tol):
         assert all(lv.n % 2 == 0 for lv in report.levels)
 
 
+@pytest.mark.parametrize("rule", ["mean", "s_minus"])
+def test_predicted_levels_count_only_grid_points_off_the_unit_square(counted_exp_xy, rule):
+    """On [0.3, 1] the node ``a + (n/2) h`` misses the midpoint at almost
+    every even level, the levels these solves take among them; node n/2
+    of the grid is the midpoint itself, so the mid-line rule still makes
+    no off-grid calls."""
+    F, calls = counted_exp_xy
+    report = _solve(F, Interval(0.3, 1.0), rule, 1e-6)
+    assert report.termination == "tolerance_met"
+    assert calls[0] == sum((lv.n + 1) ** 2 for lv in report.levels)
+
+
 def test_predicted_levels_evaluate_fewer_points_than_doubling(counted_exp_xy):
     """Doubling from level 4 would stop at the first power-of-two pair
     whose difference meets tol, (256, 512) here, after 351,568 points."""

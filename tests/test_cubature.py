@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trapcube.adaptive import refine_mean
 from trapcube.cubature import (
     TRACE_IDS,
     Enclosure,
@@ -232,26 +233,33 @@ def test_blending_route_on_shifted_square():
     assert built == pytest.approx(direct, rel=1e-12)
 
 
-@pytest.mark.parametrize("n", [1, 4, 5, 16])
-def test_grid_is_evaluated_once_per_rule_application(counted_exp_xy, n):
+@pytest.mark.parametrize(
+    "n,iv",
+    [pytest.param(n, UNIT, id=str(n)) for n in (1, 4, 5, 16)]
+    + [pytest.param(n, Interval(0.3, 1.0), id=f"0.3-1.0-{n}") for n in (6, 8, 18, 36)],
+)
+def test_grid_is_evaluated_once_per_rule_application(counted_exp_xy, n, iv):
     """The product rule, s_plus and a same-level enclosure cost one grid
-    pass; only mid-lines off the grid (odd n) cost extra points."""
+    pass; only mid-lines off the grid (odd n) cost extra points.  On
+    [0.3, 1] the node ``a + (n/2) h`` misses the midpoint at these levels,
+    so there the grid's node n/2 must be the midpoint itself."""
     F, calls = counted_exp_xy
-    product_trapezoid(F, UNIT, n)
+    product_trapezoid(F, iv, n)
     assert calls[0] == (n + 1) ** 2
     calls[0] = 0
-    s_plus(F, UNIT, n)
+    s_plus(F, iv, n)
     assert calls[0] == (n + 1) ** 2
     calls[0] = 0
-    enclosure(F, UNIT, n, n)
+    enclosure(F, iv, n, n)
     off_grid_midlines = 0 if n % 2 == 0 else 2 * (n + 1)
     assert calls[0] == (n + 1) ** 2 + off_grid_midlines
 
 
 @pytest.mark.parametrize("a,b,n", [(0.3, 1.0, 6), (0.3, 1.0, 5), (0.0, 1.0, 8)])
 def test_s_minus_equals_its_formula_bit_for_bit(a, b, n):
-    """On [0.3, 1] grid node 3 of n=6 is 0.6499999999999999, not the
-    midpoint 0.65, so there the mid-line sums must not come from the grid."""
+    """On [0.3, 1] grid node 3 of n=6 is the midpoint 0.65, where
+    ``a + 3 h`` gives 0.6499999999999999, so the mid-line sums the grid
+    yields are those of the midpoint's traces."""
     iv = Interval(a, b)
     f, m = EXP.f, iv.midpoint
     rule = trapezium_rule(iv, n)
@@ -261,3 +269,21 @@ def test_s_minus_equals_its_formula_bit_for_bit(a, b, n):
         remainders.append(value - apply(rule, g))
     expected = product_trapezoid(EXP, iv, n).value + iv.width * (remainders[0] + remainders[1])
     assert s_minus(EXP, iv, n).value == expected
+
+
+def test_rules_build_their_grids_near_the_float_maximum():
+    """On [1e308, 1.7e308] ``0.5 * (a + b)`` overflows; the midpoint, and
+    with it node n/2 of every even grid, must stay finite."""
+    iv = Interval(1e308, 1.7e308)
+    zero = Integrand2D(
+        f=lambda x, y: 0.0,
+        d22_sign="nonnegative",
+        exact_traces={tid: lambda iv: 0.0 for tid in TRACE_IDS},
+    )
+    for n in (1, 2, 4, 5):
+        assert s_plus(zero, iv, n).value == 0.0
+        assert s_minus(zero, iv, n).value == 0.0
+        e = enclosure(zero, iv, n, n)
+        assert e.lower == e.upper == 0.0
+    report = refine_mean(zero, iv, 1e-6)
+    assert report.final_value == report.final_bound == 0.0

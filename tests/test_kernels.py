@@ -362,8 +362,8 @@ cells = st.integers(min_value=2, max_value=12).flatmap(
 )
 @settings(max_examples=300)
 def test_psi_matches_comparison_kernel_on_cells(cell, c, u, v):
-    """On cell (k, l): 4 phi = psi for the mid-line variant and
-    4 phi = h^4 psi for the edge variant (stated in units of h^4)."""
+    """On cell (k, l): 4 phi = h^4 psi for both variants, which are
+    stated in units of h^4."""
     n, k, l = cell
     h = 0.5 / n
     t = (2 * k + u) * h
@@ -371,7 +371,7 @@ def test_psi_matches_comparison_kernel_on_cells(cell, c, u, v):
     # abs slack sits above the ~1e-17 cancellation residue the generic
     # kernel evaluation leaves at its zero set
     lhs = 4.0 * phi("minus", UNIT, n, c, t, tau)
-    rhs = psi("minus", k, l, n, c, u, v)
+    rhs = h**4 * psi("minus", k, l, n, c, u, v)
     assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-15)
     lhs_p = 4.0 * phi("plus", UNIT, n, c, t, tau)
     rhs_p = h**4 * psi("plus", k, l, n, c, u, v)
@@ -387,14 +387,14 @@ def test_psi_matches_comparison_kernel_on_cells(cell, c, u, v):
 @settings(max_examples=200)
 def test_psi_neighbour_difference_identity(cell, c, u, v):
     """Stepping one cell to the right changes the mid-line psi by
-    4 h^4 (2k+1+u) v (c-1+v)."""
+    4 (2k+1+u) v (c-1+v)."""
     n, k, l = cell
     if 2 * (k + 1) + 1 > n:
         return
-    h4 = (0.5 / n) ** 4
     step = psi("minus", k + 1, l, n, c, u, v) - psi("minus", k, l, n, c, u, v)
-    predicted = 4.0 * h4 * (2 * k + 1 + u) * v * (c - 1.0 + v)
-    assert step == pytest.approx(predicted, rel=1e-9, abs=1e-18)
+    predicted = 4.0 * (2 * k + 1 + u) * v * (c - 1.0 + v)
+    # abs slack 1e-18 on the kernel's scale h^4 psi, with h = 1/(2n)
+    assert step == pytest.approx(predicted, rel=1e-9, abs=1e-18 * (2 * n) ** 4)
 
 
 def test_psi_validation():
@@ -410,7 +410,7 @@ def test_psi_validation():
 
 def test_psi_diagonal_dips_negative_below_the_critical_constant():
     """On the diagonal of cell (k, k) the mid-line psi is g(u) = psi(u, u)
-    with g(0) = 0 and g'(0) = 8 (c-1) h^4 k^2, so any c < 1 forces g < 0
+    with g(0) = 0 and g'(0) = 8 (c-1) k^2, so any c < 1 forces g < 0
     just inside the cell: the constant 1 of the mid-line rule is sharp."""
     assert psi("minus", 1, 1, 4, 0.99, 0.0, 0.0) == 0.0
     assert psi("minus", 1, 1, 4, 0.99, 0.005, 0.005) < 0.0

@@ -1,8 +1,9 @@
 """Unit tests for the univariate building blocks."""
 import math
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trapcube.univariate import (
@@ -22,6 +23,13 @@ intervals = st.tuples(
     st.floats(min_value=-10.0, max_value=10.0),
     st.floats(min_value=1e-3, max_value=20.0),
 ).map(lambda t: Interval(t[0], t[0] + t[1]))
+
+#: Squares at every scale: a modest square scaled by a power of two.
+scaled_intervals = st.tuples(
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.floats(min_value=1e-6, max_value=1e3),
+    st.integers(min_value=-1050, max_value=1000),
+).map(lambda t: Interval(math.ldexp(t[0], t[2]), math.ldexp(t[0] + t[1], t[2])))
 
 
 def test_interval_validation():
@@ -60,6 +68,31 @@ def test_midpoint_rule_layout():
 def test_trapezium_rule_rejects_bad_panel_count():
     with pytest.raises(ValueError):
         trapezium_rule(UNIT, 0)
+
+
+def test_trapezium_rule_rejects_a_subnormal_panel_width():
+    """[2.38e-321, 5.415e-321] is 614 subnormal steps wide.  In 186 panels
+    h rounds from 3.3 steps to 3, so the last panel is 59 steps; in 614
+    panels the end weight h/2 rounds to 0, on which the grid pass divides."""
+    iv = Interval(2.38e-321, 5.415e-321)
+    for n in (186, 614):
+        with pytest.raises(ValueError, match="smallest normal float"):
+            trapezium_rule(iv, n)
+    tiny = sys.float_info.min
+    assert trapezium_rule(Interval(0.0, 2 * tiny), 2).nodes == (0.0, tiny, 2 * tiny)
+
+
+@given(iv=scaled_intervals, n=st.integers(min_value=1, max_value=64))
+@settings(max_examples=300)
+def test_trapezium_nodes_pin_the_midpoint_and_nest(iv, n):
+    """Nodes strictly increase, node n/2 is the midpoint at even n, and
+    the nodes of level 2n at even indices are those of level n."""
+    assume(iv.width / (2 * n) >= sys.float_info.min)
+    nodes = trapezium_rule(iv, n).nodes
+    assert all(x < y for x, y in zip(nodes, nodes[1:]))
+    if n % 2 == 0:
+        assert nodes[n // 2] == iv.midpoint
+    assert trapezium_rule(iv, 2 * n).nodes[::2] == nodes
 
 
 def test_quadrature_rule_validation():
