@@ -15,7 +15,6 @@ from .adaptive import (
     refine_mean,
 )
 from .cubature import (
-    TRACE_IDS,
     CubatureEstimate,
     Enclosure,
     Integrand2D,
@@ -65,7 +64,6 @@ __all__ = [
     "RefinementLevel",
     "RefinementReport",
     "ScanReport",
-    "TRACE_IDS",
     "apply",
     "brute_force_integral",
     "definite_pair_bounds",

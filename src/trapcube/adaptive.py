@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 from .cubature import Integrand2D, _levels
-from .univariate import Interval
+from .univariate import Interval, _integer
 
 __all__ = [
     "RefinementLevel",
@@ -115,7 +115,7 @@ def _validate_refine_args(F: Integrand2D, tol: float, max_n: int) -> None:
         )
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
-    if max_n < 2 * _N0:
+    if _integer(max_n, "max_n") < 2 * _N0:
         raise ValueError(
             f"max_n must allow at least one doubling: need >= {2 * _N0}, got {max_n}"
         )

@@ -40,7 +40,7 @@ from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .adaptive import RefinementReport, _pair_bounds, refine, refine_mean
-from .cubature import _TRACE_LINES, Integrand2D, _levels
+from .cubature import Integrand2D, _levels
 from .kernels import SCAN_SLACK_FACTOR, KernelSpec, ScanReport, definiteness_scan
 from .oracle import ReferenceValue, ref_exp_integral, ref_sin_integral
 from .univariate import Interval
@@ -57,33 +57,17 @@ class BuiltinIntegrand:
     ``trapcube integrate`` refuses other squares; library calls trust the
     declaration wherever they are made.  ``reference``, when given,
     returns the series value on the unit square that ``table`` measures
-    remainders against.  The trace integrals are closed forms valid on
-    any square.  The integrands are numpy expressions declared
-    vectorized, so the grid pass evaluates them on blocks of rows.
+    remainders against.  Each integrand is symmetric in x and y, so one
+    closed-form line integral ``g(c, iv)``, valid on any square, serves
+    as both ``g_x`` and ``g_y`` of its exact traces.  The integrands are
+    numpy expressions declared vectorized, so the grid pass evaluates
+    them on blocks of rows.
     """
 
     integrand: Integrand2D
     proven: Callable[[float, float], bool]
     condition: str
     reference: Optional[Callable[[], ReferenceValue]] = None
-
-
-def _traces(line_integral: Callable[[float, Interval], float]) -> Dict[str, Callable[[Interval], float]]:
-    """Wire one closed-form line integral to all six trace lines.
-
-    ``line_integral(c, iv)`` must return the integral over ``iv`` of the
-    integrand restricted to a line where one coordinate is frozen at c;
-    all four builtins are symmetric in x and y, so one form serves both
-    directions.
-    """
-
-    def supplier(coordinate_of: Callable[[Interval], float]) -> Callable[[Interval], float]:
-        return lambda iv: line_integral(coordinate_of(iv), iv)
-
-    return {
-        trace_id: supplier(coordinate_of)
-        for trace_id, (_, coordinate_of) in _TRACE_LINES.items()
-    }
 
 
 # The differences exp(cb) - exp(ca) and cos(ca) - cos(cb) cancel as c
@@ -134,7 +118,7 @@ BUILTINS: Dict[str, BuiltinIntegrand] = {
         integrand=Integrand2D(
             f=_exp_xy,
             d22_sign="nonnegative",
-            exact_traces=_traces(_exp_line),
+            exact_traces=(_exp_line, _exp_line),
             vectorized=True,
         ),
         # e^u (u^2 + 4u + 2) >= 0 for u >= sqrt(2) - 2 = -0.58579, and u >= min(a*b, 0).
@@ -146,7 +130,7 @@ BUILTINS: Dict[str, BuiltinIntegrand] = {
         integrand=Integrand2D(
             f=_sin_xy,
             d22_sign="nonpositive",
-            exact_traces=_traces(_sin_line),
+            exact_traces=(_sin_line, _sin_line),
             vectorized=True,
         ),
         # (u^2 - 2) sin u and -4u cos u are both <= 0 for u in [0, sqrt(2)], as sqrt(2) < pi/2.
@@ -158,7 +142,7 @@ BUILTINS: Dict[str, BuiltinIntegrand] = {
         integrand=Integrand2D(
             f=lambda x, y: (x * x) * (y * y),
             d22_sign="nonnegative",
-            exact_traces=_traces(_sq_line),
+            exact_traces=(_sq_line, _sq_line),
             vectorized=True,
         ),
         # D22 is the constant 4.
@@ -169,7 +153,7 @@ BUILTINS: Dict[str, BuiltinIntegrand] = {
         integrand=Integrand2D(
             f=lambda x, y: x * y,
             d22_sign="nonnegative",
-            exact_traces=_traces(_bilinear_line),
+            exact_traces=(_bilinear_line, _bilinear_line),
             vectorized=True,
         ),
         # D22 is identically 0.

@@ -19,11 +19,12 @@ sampling cannot certify a sign.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .univariate import _SIGNS, Interval, apply, trace_integral, trapezium_rule
+from .univariate import _SIGNS, Interval, _integer, apply, trace_integral, trapezium_rule
 
 # numpy is imported inside the functions that build arrays, so that
 # scalar integrands never load it.
@@ -31,7 +32,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "TRACE_IDS",
     "Integrand2D",
     "CubatureEstimate",
     "Enclosure",
@@ -42,9 +42,9 @@ __all__ = [
     "enclosure",
 ]
 
-#: Identifiers of the six univariate traces of a bivariate integrand:
-#: restrictions to the four edges of the square and to its two mid-lines.
-TRACE_IDS = ("left", "right", "down", "up", "vertical-mid", "horizontal-mid")
+#: A line integral ``g(c, iv)``: the integral over iv of f with one
+#: coordinate frozen at c.
+_LineIntegral = Callable[[float, Interval], float]
 
 
 @dataclass(frozen=True)
@@ -60,12 +60,14 @@ class Integrand2D:
         square.  Required by every operation that claims one-sidedness
         (enclosures, certified refinement bounds).  The declaration is
         trusted, not verified.
-    exact_traces : mapping, optional
-        Map from a trace id in :data:`TRACE_IDS` to a supplier returning
-        the exact value of that trace integral for a given interval.
-        Traces without a supplier fall back to adaptive Romberg
-        integration to absolute tolerance 1e-12, which then enters the
-        error budget.
+    exact_traces : tuple (g_x, g_y), optional
+        Closed forms of the integrals along lines: ``g_x(c, iv)`` is the
+        integral over iv of ``t -> f(c, t)`` and ``g_y(c, iv)`` that of
+        ``t -> f(t, c)``.  The rules call them with c an end or the
+        midpoint of iv: ``s_plus`` at the four edges, ``s_minus`` at the
+        two mid-lines.  Without them every trace is integrated by
+        adaptive Romberg integration to absolute tolerance 1e-12, which
+        then enters the error budget.
     vectorized : bool, optional
         Declares that f also accepts numpy arrays.  The grid pass then
         calls ``f(X, Y)`` on blocks of rows, with X a column of x nodes
@@ -78,7 +80,7 @@ class Integrand2D:
 
     f: Callable[[float, float], float]
     d22_sign: Optional[str] = None
-    exact_traces: Optional[Mapping[str, Callable[[Interval], float]]] = None
+    exact_traces: Optional[Tuple[_LineIntegral, _LineIntegral]] = None
     vectorized: bool = False
 
     def __post_init__(self) -> None:
@@ -86,10 +88,9 @@ class Integrand2D:
             raise ValueError(
                 f"d22_sign must be one of {_SIGNS}, got {self.d22_sign!r}"
             )
-        if self.exact_traces is not None:
-            unknown = set(self.exact_traces) - set(TRACE_IDS)
-            if unknown:
-                raise ValueError(f"unknown trace ids: {sorted(unknown)}")
+        g = self.exact_traces
+        if g is not None and not (isinstance(g, tuple) and len(g) == 2 and all(map(callable, g))):
+            raise ValueError(f"exact_traces must be a tuple (g_x, g_y) of two callables, got {g!r}")
 
 
 @dataclass(frozen=True)
@@ -131,9 +132,12 @@ class Enclosure:
             )
 
 
-#: The line each trace lies on: ``(axis, coordinate_of)``, where axis 0
-#: freezes x at ``coordinate_of(iv)`` (the trace is ``t -> f(c, t)``) and
-#: axis 1 freezes y (``t -> f(t, c)``).
+#: The six traces of a bivariate integrand, restrictions to the four
+#: edges of the square and to its two mid-lines, and the line each lies
+#: on: ``(axis, coordinate_of)``, where axis 0 freezes x at
+#: ``c = coordinate_of(iv)`` (the trace is ``t -> f(c, t)``, integrated by
+#: ``g_x``) and axis 1 freezes y (``t -> f(t, c)``, by ``g_y``).  This is
+#: the only table of where the lines sit.
 _TRACE_LINES: Dict[str, Tuple[int, Callable[[Interval], float]]] = {
     "left": (0, lambda iv: iv.a),
     "right": (0, lambda iv: iv.b),
@@ -425,13 +429,12 @@ _TRACE_TOL = 1e-12
 
 def _trace_integrals(F: Integrand2D, iv: Interval, trace_ids) -> Dict[str, Tuple[float, float]]:
     """``(value, budget)`` of each named trace integral over iv."""
-    exact = F.exact_traces or {}
-    return {
-        tid: trace_integral(
-            _trace_function(F.f, tid, iv), iv, exact=exact.get(tid), tol=_TRACE_TOL
-        )
-        for tid in trace_ids
-    }
+    out = {}
+    for tid in trace_ids:
+        axis, coordinate_of = _TRACE_LINES[tid]
+        exact = None if F.exact_traces is None else functools.partial(F.exact_traces[axis], coordinate_of(iv))
+        out[tid] = trace_integral(_trace_function(F.f, tid, iv), iv, exact=exact, tol=_TRACE_TOL)
+    return out
 
 
 def _combine(
@@ -448,20 +451,17 @@ def _combine(
     the grid.
     """
     remainders = []
-    budgets = []
     for tid in _RULE_TRACES[rule]:
-        value, budget = traces[tid]
         q = grid.sums.get(tid)
         if q is None:
             q = apply(trapezium_rule(iv, grid.n), _trace_function(F.f, tid, iv))
-        remainders.append(value - q)
-        budgets.append(budget)
+        remainders.append(traces[tid][0] - q)
     w = iv.width if rule == "s_minus" else 0.5 * iv.width
     return CubatureEstimate(
         value=grid.product + w * math.fsum(remainders),
         rule=rule,
         n=grid.n,
-        trace_err_budget=w * math.fsum(budgets),
+        trace_err_budget=w * math.fsum(traces[tid][1] for tid in _RULE_TRACES[rule]),
     )
 
 
@@ -479,7 +479,7 @@ def _levels(
     for n in ns:
         grid = _grid_pass(F, iv, n)
         if traces is None:
-            needed = [tid for tid in TRACE_IDS for r in rules if tid in _RULE_TRACES[r]]
+            needed = [tid for tid in _TRACE_LINES for r in rules if tid in _RULE_TRACES[r]]
             traces = _trace_integrals(F, iv, needed)
         yield {rule: _combine(rule, F, iv, grid, traces) for rule in rules}
 
@@ -542,7 +542,7 @@ def error_constant(rule: str, iv: Interval, n: int) -> float:
         c(s_minus) = -(b-a)^6 / (144 n^2) * (1 + 1/n^2)   (negative),
         c(s_plus)  =  (b-a)^6 / ( 72 n^2) * (1 - 1/(2 n^2))  (positive).
     """
-    if n < 1:
+    if _integer(n, "refinement level") < 1:
         raise ValueError(f"refinement level must be >= 1, got {n}")
     w6 = iv.width**6
     if rule == "s_minus":

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from .cubature import _BLOCK_POINTS, _hold_heap
-from .univariate import Interval, QuadratureRule, midpoint_rule, peano_kernel, trapezium_rule
+from .univariate import Interval, QuadratureRule, _integer, midpoint_rule, peano_kernel, trapezium_rule
 
 # numpy is imported inside the scan functions, so that the point
 # kernels never load it.
@@ -61,8 +61,8 @@ SCAN_SLACK_FACTOR = 1e-14
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Which kernel to scan: the kind, the level, and (for comparison
-    kernels) the constant c, finite and positive."""
+    """Which kernel to scan: the kind, the level (an integer >= 1), and
+    (for comparison kernels) the constant c, finite and positive."""
 
     kind: str
     n: int
@@ -71,7 +71,7 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.kind not in _KERNEL_SIGNS:
             raise ValueError(f"kind must be one of {tuple(_KERNEL_SIGNS)}, got {self.kind!r}")
-        if self.n < 1:
+        if _integer(self.n, "level") < 1:
             raise ValueError(f"level must be >= 1, got {self.n}")
         if self.kind.startswith("phi"):
             if self.c is None or not 0.0 < self.c < math.inf:

@@ -11,6 +11,7 @@ one-sided.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
@@ -29,6 +30,16 @@ __all__ = [
 #: The two signs a Peano kernel or a mixed derivative can be declared or
 #: checked to keep.
 _SIGNS = ("nonnegative", "nonpositive")
+
+
+def _integer(n: object, name: str) -> int:
+    """n as an int, or ValueError naming it when ``operator.index`` refuses
+    it: a level of 2.5 or 100.0 names no rule, and NaN compares false
+    against every bound."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {n!r}") from None
 
 
 @dataclass(frozen=True)

@@ -185,19 +185,11 @@ def _null_poly(A, B, C, D):
             + c * _pint(D, iv.a, iv.b)
         )
 
-    traces = {
-        "left": lambda iv: frozen_x(iv.a, iv),
-        "right": lambda iv: frozen_x(iv.b, iv),
-        "vertical-mid": lambda iv: frozen_x(iv.midpoint, iv),
-        "down": lambda iv: frozen_y(iv.a, iv),
-        "up": lambda iv: frozen_y(iv.b, iv),
-        "horizontal-mid": lambda iv: frozen_y(iv.midpoint, iv),
-    }
     exact = (
         _pint(A, 0.0, 1.0) + _pint(B, 0.0, 1.0)
         + 0.5 * _pint(C, 0.0, 1.0) + 0.5 * _pint(D, 0.0, 1.0)
     )
-    return Integrand2D(f=f, d22_sign="nonnegative", exact_traces=traces), exact
+    return Integrand2D(f=f, d22_sign="nonnegative", exact_traces=(frozen_x, frozen_y)), exact
 
 
 def test_criterion_6_null_derivative_polynomials_integrated_exactly():

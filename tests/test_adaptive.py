@@ -1,6 +1,5 @@
 """Tests for the refinement driver, its predicted levels and its
 certified stopping bounds."""
-import dataclasses
 import math
 
 import pytest
@@ -12,7 +11,7 @@ import trapcube.adaptive as adaptive
 import trapcube.cubature as cubature
 from trapcube.adaptive import definite_pair_bounds, refine, refine_mean
 from trapcube.cli import BUILTINS, table_rows
-from trapcube.cubature import TRACE_IDS, Integrand2D, enclosure, s_minus, s_plus
+from trapcube.cubature import Integrand2D, enclosure, s_minus, s_plus
 from trapcube.oracle import brute_force_integral, ref_exp_integral, ref_sin_integral
 from trapcube.univariate import Interval
 
@@ -113,6 +112,15 @@ def test_refine_validation():
         refine(EXP, UNIT, "s_minus", tol=0.0)
     with pytest.raises(ValueError, match="need >= 8, got 7"):
         refine(EXP, UNIT, "s_minus", tol=1e-4, max_n=7)
+    # A max_n that is not an integer is refused before f is called, not
+    # by trapezium_rule after the grid passes.
+    never = Integrand2D(f=lambda x, y: pytest.fail("f was evaluated"), d22_sign="nonnegative")
+    for max_n in (100.0, math.nan):
+        with pytest.raises(ValueError, match="max_n must be an integer"):
+            refine(never, UNIT, "s_minus", tol=1e-14, max_n=max_n)
+        with pytest.raises(ValueError, match="max_n must be an integer"):
+            refine_mean(never, UNIT, tol=1e-14, max_n=max_n)
+    assert refine(EXP, UNIT, "s_minus", tol=1e-4, max_n=np.int64(64)).final_n == 36
 
 
 def test_refine_mean_estimates_are_rule_midpoints():
@@ -138,20 +146,19 @@ def test_refine_mean_max_n_reached():
 
 
 def test_refine_mean_bound_is_half_the_enclosure_width():
-    """With exact edge traces and Romberg mid-lines the two rules carry
-    unequal trace budgets.  The mean's bound is half the rules' gap, and
-    the certified bound adds the larger budget, which is the enclosure's
-    slack."""
-    F = BUILTINS["exp_xy"].integrand
-    edges = ("left", "right", "down", "up")
-    F = dataclasses.replace(F, exact_traces={tid: F.exact_traces[tid] for tid in edges})
+    """The mean's bound is half the rules' gap, and the certified bound
+    adds the larger of the two rules' trace budgets, which is the
+    enclosure's slack.  With Romberg traces both budgets are the same,
+    2 * width * 1e-12."""
+    F = EXP
     report = refine_mean(F, UNIT, tol=1e-12, max_n=64)
-    # The mid-lines' budget 2e-12 alone exceeds tol, so level 4 predicts the cap.
+    # The budget 2e-12 alone exceeds tol, so level 4 predicts the cap.
     assert [lv.n for lv in report.levels] == [4, 64]
     for lv in report.levels:
         enc = enclosure(F, UNIT, lv.n, lv.n)
         assert enc.slack > 0.0
         assert lv.trace_budget == enc.slack
+        assert s_minus(F, UNIT, lv.n).trace_err_budget == s_plus(F, UNIT, lv.n).trace_err_budget == enc.slack
         gap = s_minus(F, UNIT, lv.n).value - s_plus(F, UNIT, lv.n).value
         assert lv.aposteriori_bound == 0.5 * abs(gap)
         assert lv.aposteriori_bound + lv.trace_budget == pytest.approx(
@@ -261,7 +268,7 @@ def test_non_finite_exact_traces_are_refused():
     F = Integrand2D(
         f=lambda x, y: math.exp(x * y),
         d22_sign="nonnegative",
-        exact_traces={tid: (lambda iv: math.nan) for tid in TRACE_IDS},
+        exact_traces=(lambda c, iv: math.nan, lambda c, iv: math.nan),
     )
     with pytest.raises(ValueError, match="exact trace integral returned non-finite value nan"):
         enclosure(F, UNIT, 4, 4)

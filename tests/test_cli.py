@@ -9,7 +9,7 @@ import pytest
 
 from trapcube.adaptive import refine
 from trapcube.cli import BUILTINS, main, table_rows
-from trapcube.cubature import TRACE_IDS, s_minus, s_plus
+from trapcube.cubature import s_minus, s_plus
 from trapcube.oracle import brute_force_integral, ref_exp_integral
 from trapcube.univariate import Interval, trace_integral
 
@@ -21,12 +21,14 @@ def run(capsys, *argv):
 
 
 def test_builtins_are_fully_wired():
-    """Every built-in has a closed form for all six traces, so no CLI
-    path integrates a trace by Romberg, the only source of ConvergenceError."""
+    """Every built-in has closed forms for the line integrals along both
+    axes, so no CLI path integrates a trace by Romberg, the only source of
+    ConvergenceError."""
     assert set(BUILTINS) == {"exp_xy", "sin_xy", "poly_x2y2", "bilinear_xy"}
     for b in BUILTINS.values():
         assert b.integrand.d22_sign in ("nonnegative", "nonpositive")
-        assert set(b.integrand.exact_traces) == set(TRACE_IDS)
+        g_x, g_y = b.integrand.exact_traces
+        assert callable(g_x) and callable(g_y)
         assert callable(b.proven)
         assert isinstance(b.condition, str) and b.condition
     assert {fn_id for fn_id, b in BUILTINS.items() if b.reference} == {"exp_xy", "sin_xy"}
@@ -35,20 +37,17 @@ def test_builtins_are_fully_wired():
 @pytest.mark.parametrize("fn_id", sorted(BUILTINS))
 @pytest.mark.parametrize("iv", [Interval(0.0, 1.0), Interval(0.25, 1.75), Interval(1e-9, 0.5)])
 def test_builtin_exact_traces_match_numeric_integration(fn_id, iv):
-    """The closed-form trace integrals agree with adaptive integration of
-    the actual restriction, on the default and two shifted squares.  The
-    edges at 1e-9 freeze a coordinate where exp(cb) - exp(ca) and
-    cos(ca) - cos(cb) cancel."""
+    """The closed-form line integrals agree with adaptive integration of
+    the actual restriction, along both axes at the ends and the midpoint,
+    on the default and two shifted squares.  The edges at 1e-9 freeze a
+    coordinate where exp(cb) - exp(ca) and cos(ca) - cos(cb) cancel."""
     b = BUILTINS[fn_id]
-    coords = {
-        "left": iv.a, "down": iv.a,
-        "right": iv.b, "up": iv.b,
-        "vertical-mid": iv.midpoint, "horizontal-mid": iv.midpoint,
-    }
-    for trace_id, supplier in b.integrand.exact_traces.items():
-        c = coords[trace_id]
-        numeric, _ = trace_integral(lambda s: b.integrand.f(c, s), iv, tol=1e-12)
-        assert supplier(iv) == pytest.approx(numeric, rel=1e-11, abs=1e-11)
+    f = b.integrand.f
+    g_x, g_y = b.integrand.exact_traces
+    for c in (iv.a, iv.midpoint, iv.b):
+        for g, trace in ((g_x, lambda t: f(c, t)), (g_y, lambda t: f(t, c))):
+            numeric, _ = trace_integral(trace, iv, tol=1e-12)
+            assert g(c, iv) == pytest.approx(numeric, rel=1e-11, abs=1e-11)
 
 
 @pytest.mark.parametrize("c", [5e-324, -5e-324, 1e-310, 4e-308])
@@ -57,7 +56,7 @@ def test_exp_line_integral_at_a_subnormal_coordinate(c):
     edge, so the edge integral is the width: expm1(c * width) / c would
     give 0.0 at c = 5e-324 and 0.49999999999999994 at c = 4e-308."""
     iv = Interval(c, 0.5)
-    assert BUILTINS["exp_xy"].integrand.exact_traces["left"](iv) == iv.width
+    assert BUILTINS["exp_xy"].integrand.exact_traces[0](c, iv) == iv.width
 
 
 @pytest.mark.parametrize("rule", ["plus", "mean"])

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trapcube.adaptive import refine_mean
+from trapcube.adaptive import refine, refine_mean
 from trapcube.cubature import (
-    TRACE_IDS,
     Enclosure,
     Integrand2D,
     enclosure,
@@ -28,17 +27,62 @@ EXP = Integrand2D(f=lambda x, y: math.exp(x * y), d22_sign="nonnegative")
 SIN = Integrand2D(f=lambda x, y: math.sin(x * y), d22_sign="nonpositive")
 
 
+def _zero_line(c, iv):
+    return 0.0
+
+
 def test_integrand_validation():
     with pytest.raises(ValueError):
         Integrand2D(f=lambda x, y: x, d22_sign="positive")
-    with pytest.raises(ValueError):
-        Integrand2D(f=lambda x, y: x, exact_traces={"leftish": lambda iv: 0.0})
+    six = dict.fromkeys(
+        ("left", "right", "down", "up", "vertical-mid", "horizontal-mid"), lambda iv: 0.0
+    )
+    for traces in (six, (_zero_line,), (_zero_line, 0.0), [_zero_line, _zero_line]):
+        with pytest.raises(ValueError, match="tuple"):
+            Integrand2D(f=lambda x, y: x, exact_traces=traces)
+    assert Integrand2D(f=lambda x, y: x, exact_traces=(_zero_line, _zero_line)).exact_traces
 
 
-def test_trace_ids_cover_all_six_lines():
-    assert set(TRACE_IDS) == {
-        "left", "right", "down", "up", "vertical-mid", "horizontal-mid",
-    }
+@pytest.mark.parametrize("iv", [UNIT, Interval(0.1, 0.7), Interval(-3.0, 1e-9)])
+def test_rules_call_the_line_integrals_on_their_lines(iv):
+    """s_minus integrates along x = m and y = m, with m the midpoint and
+    node n/2 of the grid at even n; s_plus along x and y at both ends.
+    Each call gets the square's interval, and a refinement makes each
+    call once per solve."""
+    calls = []
+
+    def recorded(axis):
+        def g(c, line_iv):
+            calls.append((axis, c, line_iv))
+            return (math.exp(c * line_iv.b) - math.exp(c * line_iv.a)) / c if c else line_iv.width
+        return g
+
+    F = Integrand2D(
+        f=lambda x, y: math.exp(x * y),
+        d22_sign="nonnegative",
+        exact_traces=(recorded("x"), recorded("y")),
+    )
+    m = iv.midpoint
+    for n in (2, 4, 6):
+        calls.clear()
+        s_minus(F, iv, n)
+        assert m == trapezium_rule(iv, n).nodes[n // 2]
+        assert calls == [("x", m, iv), ("y", m, iv)]
+    edges = [("x", iv.a, iv), ("x", iv.b, iv), ("y", iv.a, iv), ("y", iv.b, iv)]
+    calls.clear()
+    s_plus(F, iv, 3)
+    assert calls == edges
+    calls.clear()
+    report = refine(F, iv, "s_minus", tol=1e-6 * iv.width**2)
+    assert len(report.levels) >= 2
+    assert calls == [("x", m, iv), ("y", m, iv)]
+    calls.clear()
+    report = refine(F, iv, "s_plus", tol=1e-6 * iv.width**2)
+    assert len(report.levels) >= 2
+    assert calls == edges
+    calls.clear()
+    refine_mean(F, iv, tol=1e-6 * iv.width**2)
+    assert sorted(calls) == sorted(edges + [("x", m, iv), ("y", m, iv)])
 
 
 def test_product_trapezoid_constant():
@@ -131,18 +175,18 @@ def test_error_constant_validation():
         error_constant("s_midpoint", UNIT, 1)
     with pytest.raises(ValueError):
         error_constant("s_minus", UNIT, 0)
+    for n in (2.5, math.nan):
+        with pytest.raises(ValueError, match="refinement level must be an integer"):
+            error_constant("s_minus", UNIT, n)
 
 
 def test_trace_budget_zero_with_exact_traces():
-    exact = {
-        "left": lambda iv: 1.0,  # f(0, y) = 1
-        "right": lambda iv: math.e - 1.0,
-        "down": lambda iv: 1.0,
-        "up": lambda iv: math.e - 1.0,
-        "vertical-mid": lambda iv: 2.0 * (math.exp(0.5) - 1.0),
-        "horizontal-mid": lambda iv: 2.0 * (math.exp(0.5) - 1.0),
-    }
-    F = Integrand2D(f=lambda x, y: math.exp(x * y), d22_sign="nonnegative", exact_traces=exact)
+    def line(c, iv):  # exp(c t) over [0, 1]; exp(xy) is symmetric
+        return math.expm1(c) / c if c else 1.0
+
+    F = Integrand2D(
+        f=lambda x, y: math.exp(x * y), d22_sign="nonnegative", exact_traces=(line, line)
+    )
     with_exact = s_minus(F, UNIT, 4)
     with_romberg = s_minus(EXP, UNIT, 4)
     assert with_exact.trace_err_budget == 0.0
@@ -278,7 +322,7 @@ def test_rules_build_their_grids_near_the_float_maximum():
     zero = Integrand2D(
         f=lambda x, y: 0.0,
         d22_sign="nonnegative",
-        exact_traces={tid: lambda iv: 0.0 for tid in TRACE_IDS},
+        exact_traces=(_zero_line, _zero_line),
     )
     for n in (1, 2, 4, 5):
         assert s_plus(zero, iv, n).value == 0.0

@@ -45,6 +45,12 @@ def test_kernel_spec_validation():
         KernelSpec(kind="k22", n=1)
     with pytest.raises(ValueError):
         KernelSpec(kind="k22_s_minus", n=0)
+    # A level that is not an integer names no rule; NaN would also pass
+    # the n >= 1 test.
+    for n in (2.5, 2.0, math.nan):
+        with pytest.raises(ValueError, match="level must be an integer"):
+            KernelSpec(kind="k22_s_minus", n=n)
+    assert KernelSpec(kind="k22_s_minus", n=np.int64(2)).n == 2
     with pytest.raises(ValueError):
         KernelSpec(kind="phi_minus", n=2)  # c required
     with pytest.raises(ValueError):

@@ -16,7 +16,6 @@ PUBLIC_NAMES = {
     "RefinementLevel",
     "RefinementReport",
     "ScanReport",
-    "TRACE_IDS",
     "apply",
     "brute_force_integral",
     "definite_pair_bounds",
@@ -43,7 +42,7 @@ PUBLIC_NAMES = {
 
 
 def test_package_exports_exactly_the_pinned_names():
-    assert len(trapcube.__all__) == len(PUBLIC_NAMES) == 34
+    assert len(trapcube.__all__) == len(PUBLIC_NAMES) == 33
     assert set(trapcube.__all__) == PUBLIC_NAMES
 
 
