@@ -9,14 +9,21 @@ finer value's true error:
     edge rule:      |error at 2m| <= (4m-1)/(4m-3) * |S(2m) - S(m)|
 
 Both inequalities are sharp up to their stated constants, except the
-mid-line one at m = 1, which holds with 1/3 in place of 1.  The mean of
-the two rules is bounded by their half gap at any single level.  For
-every rule the certified bound is that bound plus the trace-integration
-budget, and the driver stops as soon as it is at most the requested
-tolerance.  Printed convergence tables customarily show half the
-mid-line difference, since the monotone halving makes the finer error
-at most half the coarser one; :class:`RefinementLevel` carries the
-bound and the table quantity side by side under distinct names.
+mid-line one at m = 1, which holds with 1/3 in place of 1.  The sign of
+the mixed derivative also fixes the side of S(2m) the integral lies on.
+For a rule that overshoots (the mid-line rule on a nonnegative
+derivative, the edge rule on a nonpositive one) the integral lies in
+
+    [S(2m) - c*gap - beta, S(2m) + beta],
+
+with c*gap the pair bound above and beta the trace-integration budget;
+for a rule that undershoots it lies in the mirror interval
+[S(2m) - beta, S(2m) + c*gap + beta].  A pair row reports that
+interval's centre, S(2m) -+ c*gap/2, with the bound c*gap/2: the same
+guarantee as S(2m) with c*gap, at half the bound.  The mean of the two
+rules is bounded by their half gap at any single level.  For every rule
+the certified bound is that bound plus the trace budget, and the driver
+stops as soon as it is at most the requested tolerance.
 
 The tolerance picks the levels.  The driver runs the probe pair
 (4, 8), then takes the n^-2 rate of :func:`cubature.error_constant` to
@@ -58,25 +65,28 @@ _N0 = 4
 class RefinementLevel:
     """One level of a refinement.
 
-    ``aposteriori_bound`` is the error bound for this level's estimate
-    from the rule values alone: the pair bound from the difference to
-    the previous level for 's_minus' and 's_plus', half the gap
-    ``0.5 * |S_minus - S_plus|`` between the two rules for 'mean'.  For
-    every rule the certified bound is ``aposteriori_bound +
-    trace_budget``, as in the report's ``final_bound``.
-    ``table_bound`` is the quantity convergence tables print (half the
-    difference for the mid-line rule, the same bound for the edge
-    rule).  For the one-sided rules both are set only on a row whose
-    previous row is level n/2, such as the finer row of each pair
-    (m, 2m) the refinement evaluates.  ``table_bound`` is always None
-    for 'mean', and every 'mean' row carries its bound.
+    ``estimate`` is the rule value S(n), the mean of the two rules for
+    'mean'.  ``aposteriori_bound`` and ``centre`` are the half-width and
+    the centre of the interval the rule values alone put the integral
+    in.  For 's_minus' and 's_plus' that is the one-sided pair interval,
+    which reaches the pair bound c * |S(n) - S(n/2)| from S(n) on the
+    side the declared sign gives: the bound is half the pair bound, and
+    the centre is S(n) moved by it towards the integral.  For 'mean' the
+    interval lies between the two rules: the bound is half their gap
+    ``0.5 * |S_minus - S_plus|``, and the centre is ``estimate``.  For
+    every rule the certified interval is ``centre`` plus or minus
+    ``aposteriori_bound + trace_budget``, as in the report's
+    ``final_value`` and ``final_bound``.  For the one-sided rules both
+    are set only on a row whose previous row is level n/2, such as the
+    finer row of each pair (m, 2m) the refinement evaluates; every
+    'mean' row carries them.
     """
 
     n: int
     estimate: float
     diff_to_previous: Optional[float]
     aposteriori_bound: Optional[float]
-    table_bound: Optional[float]
+    centre: Optional[float]
     trace_budget: float
 
 
@@ -92,7 +102,7 @@ class RefinementReport:
 
     @property
     def final_value(self) -> float:
-        return self.levels[-1].estimate
+        return self.levels[-1].centre
 
     @property
     def final_bound(self) -> float:
@@ -100,12 +110,11 @@ class RefinementReport:
         return last.aposteriori_bound + last.trace_budget
 
 
-def _pair_bounds(rule: str, n: int, coarse: float, fine: float) -> Tuple[float, float]:
-    """The bound on the error of S(2n) = ``fine`` from S(n) = ``coarse``,
-    and the table column: half the mid-line bound, the edge bound itself."""
+def _pair_bound(rule: str, n: int, coarse: float, fine: float) -> float:
+    """The paper's bound c * |S(2n) - S(n)| on the error of S(2n) =
+    ``fine`` from S(n) = ``coarse``, with the rule's comparison constant c."""
     c = 1.0 if rule == "s_minus" else (4.0 * n - 1.0) / (4.0 * n - 3.0)
-    bound = definite_pair_bounds(c, fine, coarse)[0]
-    return bound, 0.5 * bound if rule == "s_minus" else bound
+    return definite_pair_bounds(c, fine, coarse)[0]
 
 
 def _validate_refine_args(F: Integrand2D, tol: float, max_n: int) -> None:
@@ -187,28 +196,32 @@ def _refine(
     levels: List[RefinementLevel] = []
     ns = _level_schedule(rule, tol, max_n, levels)
     rules = ("s_plus", "s_minus") if rule == "mean" else (rule,)
+    # The side of S(2m) the integral lies on comes from the declaration.
+    overshoots = (rule == "s_minus") == (F.d22_sign == "nonnegative")
     termination = "max_n_reached"
     for values in _levels(F, iv, rules, ns):
         n = values[rules[0]].n
-        diff = bound = table = None
+        diff = bound = centre = None
         if rule == "mean":
             lo, hi = values["s_plus"], values["s_minus"]
-            estimate = 0.5 * (lo.value + hi.value)
+            estimate = centre = 0.5 * (lo.value + hi.value)
             budget = max(lo.trace_err_budget, hi.trace_err_budget)
             bound = 0.5 * abs(hi.value - lo.value)
         else:
             estimate, budget = values[rule].value, values[rule].trace_err_budget
         if levels:
-            diff = estimate - levels[-1].estimate
-            if rule != "mean" and 2 * levels[-1].n == n:
-                bound, table = _pair_bounds(rule, levels[-1].n, levels[-1].estimate, estimate)
+            prev = levels[-1]
+            diff = estimate - prev.estimate
+            if rule != "mean" and 2 * prev.n == n:
+                bound = 0.5 * _pair_bound(rule, prev.n, prev.estimate, estimate)
+                centre = estimate - bound if overshoots else estimate + bound
         levels.append(
             RefinementLevel(
                 n=n,
                 estimate=estimate,
                 diff_to_previous=diff,
                 aposteriori_bound=bound,
-                table_bound=table,
+                centre=centre,
                 trace_budget=budget,
             )
         )
@@ -231,13 +244,16 @@ def refine(
     the last pair's bound B and trace budget the coarse level
     ``m' = ceil(m * sqrt(B / (tol - budget)) * 1.05)`` (even for
     's_minus', at most max_n/2) and runs m' and 2*m', predicting again
-    while a pair falls short.  It stops at the first pair whose certified
-    bound, the pair bound plus the trace budget, is at most ``tol``.  A
-    tolerance at or below the trace budget sends it straight to the cap
-    pair, and it ends with 'max_n_reached' once the cap pair misses
-    ``tol`` (the report still carries the best value and bound).  Only a
-    row whose previous row is its half level, such as the finer row of
-    each pair, carries ``aposteriori_bound`` and ``table_bound``.
+    while a pair falls short.  B is c * gap / 2, half the width of the
+    interval the pair (m, 2m) and the declared sign put the integral in,
+    trace budget aside (see the module docstring).  It stops at the
+    first pair whose certified bound, B plus the trace budget, is at
+    most ``tol``, and reports the interval's centre as ``final_value``.  A tolerance at or below the
+    trace budget sends it straight to the cap pair, and it ends with
+    'max_n_reached' once the cap pair misses ``tol`` (the report still
+    carries the best value and bound).  Only a row whose previous row is
+    its half level, such as the finer row of each pair, carries
+    ``aposteriori_bound`` and ``centre``.
 
     The integrand must declare its mixed-derivative sign, since the
     bounds only hold for one-signed derivatives.

@@ -39,7 +39,7 @@ import sys
 from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .adaptive import RefinementReport, _pair_bounds, refine, refine_mean
+from .adaptive import RefinementReport, _pair_bound, refine, refine_mean
 from .cubature import Integrand2D, _levels
 from .kernels import SCAN_SLACK_FACTOR, KernelSpec, ScanReport, definiteness_scan
 from .oracle import ReferenceValue, ref_exp_integral, ref_sin_integral
@@ -235,9 +235,9 @@ def table_rows(fn_id: str, n_list: Sequence[int]) -> Tuple[ReferenceValue, List[
         TableRow(
             n=n,
             rem_minus=reference.value - minus[n],
-            half_diff_minus=_pair_bounds("s_minus", n, minus[n], minus[2 * n])[1],
+            half_diff_minus=0.5 * _pair_bound("s_minus", n, minus[n], minus[2 * n]),
             rem_plus=reference.value - plus[n],
-            bound_plus=_pair_bounds("s_plus", n, plus[n], plus[2 * n])[1],
+            bound_plus=_pair_bound("s_plus", n, plus[n], plus[2 * n]),
         )
         for n in n_list
     ]
@@ -286,19 +286,14 @@ def _emit_integrate(report: RefinementReport, fn_id: str, iv: Interval, fmt: str
         })
         return
     print(f"fn={fn_id}  rule={report.rule}  square=[{iv.a:g}, {iv.b:g}]^2")
-    header = f"{'n':>6}  {'estimate':>24}  {'diff':>10}  {'bound':>10}  {'table':>10}  {'budget':>10}"
-    print(header)
+    print(f"{'n':>6}  {'estimate':>24}  {'diff':>10}  {'bound':>10}  {'budget':>10}")
     for lv in report.levels:
         print(
             f"{lv.n:>6}  {lv.estimate:>24.17g}  {_sig4(lv.diff_to_previous):>10}"
-            f"  {_sig4(lv.aposteriori_bound):>10}  {_sig4(lv.table_bound):>10}"
-            f"  {_sig4(lv.trace_budget):>10}"
+            f"  {_sig4(lv.aposteriori_bound):>10}  {_sig4(lv.trace_budget):>10}"
         )
     print(f"final value: {_full(report.final_value)}")
     print(f"certified bound: {report.final_bound:.6e}")
-    last = report.levels[-1]
-    if last.table_bound is not None:
-        print(f"table bound: {last.table_bound:.6e}")
     print(f"termination: {report.termination}")
 
 

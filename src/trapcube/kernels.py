@@ -207,7 +207,7 @@ def definiteness_scan(spec: KernelSpec, resolution: int) -> ScanReport:
     resolution that is a multiple of ``4 n`` and fine compared to
     ``1/c_deficit``; passing scans are insensitive to the choice.
     """
-    if resolution < 2:
+    if _integer(resolution, "resolution") < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
     import numpy as np
 

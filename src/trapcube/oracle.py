@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from .univariate import Interval
+from .univariate import Interval, _integer
 
 # numpy is imported inside the brute-force integrator, so that the
 # reference series never load it.
@@ -141,7 +141,7 @@ def brute_force_integral(
     usual 4^k Richardson weights apply.  Level is capped at 14 to keep
     the top grid below 2^28 evaluations.
     """
-    if not 1 <= level <= 14:
+    if not 1 <= _integer(level, "level") <= 14:
         raise ValueError(f"level must be in 1..14, got {level}")
     column = [
         _tensor_trapezoid(f, iv.a, iv.b, 2**j) for j in range(1, level + 1)

@@ -129,8 +129,8 @@ def trapezium_rule(iv: Interval, n: int) -> QuadratureRule:
     Raises
     ------
     ValueError
-        If n < 1, or if h is below the smallest normal float: a subnormal
-        h can be off by up to half its value.
+        If n is not an integer or is < 1, or if h is below the smallest
+        normal float: a subnormal h can be off by up to half its value.
 
     Examples
     --------
@@ -140,7 +140,7 @@ def trapezium_rule(iv: Interval, n: int) -> QuadratureRule:
     >>> r.weights
     (0.125, 0.25, 0.25, 0.25, 0.125)
     """
-    if n < 1:
+    if _integer(n, "panel count") < 1:
         raise ValueError(f"panel count must be >= 1, got {n}")
     a, b = iv.a, iv.b
     h = (b - a) / n

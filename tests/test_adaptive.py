@@ -21,15 +21,16 @@ SIN = Integrand2D(f=lambda x, y: math.sin(x * y), d22_sign="nonpositive")
 
 
 def test_refine_minus_level_sequence_and_stop():
-    """The pair (4, 8) predicts the pair (18, 36), which meets tol."""
+    """The pair (4, 8) predicts the pair (12, 24), which meets tol."""
     report = refine(EXP, UNIT, "s_minus", tol=1e-4)
-    assert [lv.n for lv in report.levels] == [4, 8, 18, 36]
+    assert [lv.n for lv in report.levels] == [4, 8, 12, 24]
     assert report.termination == "tolerance_met"
-    assert report.final_n == 36
-    assert report.final_value == report.levels[-1].estimate
-    # final bound = |diff| + 2e-12 Romberg trace budget
-    assert report.final_bound == pytest.approx(6.803143380489358e-05, rel=1e-9)
-    assert report.levels[-1].table_bound == pytest.approx(3.4015715902446786e-05, rel=1e-9)
+    assert report.final_n == 24
+    last = report.levels[-1]
+    assert report.final_value == last.centre == last.estimate - last.aposteriori_bound
+    # final bound = |diff| / 2 + 2e-12 Romberg trace budget
+    assert report.final_bound == pytest.approx(7.691394442903549e-05, rel=1e-9)
+    assert report.final_value == pytest.approx(1.317876149994888, rel=1e-12)
     assert abs(report.final_value - ref_exp_integral().value) <= report.final_bound
 
 
@@ -38,7 +39,7 @@ def test_refine_first_level_has_no_bound():
     first = report.levels[0]
     assert first.diff_to_previous is None
     assert first.aposteriori_bound is None
-    assert first.table_bound is None
+    assert first.centre is None
 
 
 def _half_level_pairs(report):
@@ -54,16 +55,17 @@ def test_refine_bound_columns_minus():
         assert lv.diff_to_previous == lv.estimate - prev.estimate
     for prev, lv in _half_level_pairs(report):
         diff = lv.estimate - prev.estimate
-        assert lv.aposteriori_bound == abs(diff)
-        assert lv.table_bound == 0.5 * abs(diff)
+        assert lv.aposteriori_bound == 0.5 * abs(diff)
+        # The mid-line rule overshoots a nonnegative D22: the centre is below.
+        assert lv.centre == lv.estimate - lv.aposteriori_bound
 
 
 def test_refine_bound_columns_plus_carry_the_level_factor():
     report = refine(EXP, UNIT, "s_plus", tol=1e-5)
     for prev, lv in _half_level_pairs(report):
         factor = (4.0 * prev.n - 1.0) / (4.0 * prev.n - 3.0)
-        assert lv.aposteriori_bound == pytest.approx(factor * abs(lv.diff_to_previous), rel=1e-15)
-        assert lv.table_bound == lv.aposteriori_bound
+        assert lv.aposteriori_bound == pytest.approx(0.5 * factor * abs(lv.diff_to_previous), rel=1e-15)
+        assert lv.centre == lv.estimate + lv.aposteriori_bound
 
 
 @pytest.mark.parametrize("F,ref,rule", [
@@ -73,13 +75,14 @@ def test_refine_bound_columns_plus_carry_the_level_factor():
     (SIN, ref_sin_integral, "s_plus"),
 ])
 def test_certified_bound_dominates_true_error(F, ref, rule):
-    """The whole point: every bound a level carries covers its true error."""
+    """The whole point: every bound a level carries covers its centre's
+    true error, and the pair bound, twice that bound, the rule value's."""
     reference = ref().value
     report = refine(F, UNIT, rule, tol=1e-6)
     assert report.termination == "tolerance_met"
     for _, lv in _half_level_pairs(report):
-        true_error = abs(reference - lv.estimate)
-        assert true_error <= lv.aposteriori_bound + lv.trace_budget + 1e-15
+        assert abs(reference - lv.centre) <= lv.aposteriori_bound + lv.trace_budget + 1e-15
+        assert abs(reference - lv.estimate) <= 2 * lv.aposteriori_bound + lv.trace_budget + 1e-15
 
 
 def test_refine_monotone_one_sided_approach():
@@ -120,7 +123,7 @@ def test_refine_validation():
             refine(never, UNIT, "s_minus", tol=1e-14, max_n=max_n)
         with pytest.raises(ValueError, match="max_n must be an integer"):
             refine_mean(never, UNIT, tol=1e-14, max_n=max_n)
-    assert refine(EXP, UNIT, "s_minus", tol=1e-4, max_n=np.int64(64)).final_n == 36
+    assert refine(EXP, UNIT, "s_minus", tol=1e-4, max_n=np.int64(64)).final_n == 24
 
 
 def test_refine_mean_estimates_are_rule_midpoints():
@@ -190,48 +193,53 @@ def test_definite_pair_bounds_validation():
 
 
 def test_definite_pair_bounds_reproduce_the_refine_bounds():
-    """refine's bounds are the definite-pair bounds with the rule's
+    """refine's bounds are half the definite-pair bounds with the rule's
     comparison constant: 1 for mid-line, (4n-1)/(4n-3) for edge."""
     report = refine(EXP, UNIT, "s_minus", tol=1e-5)
     lv_prev, lv = report.levels[-2], report.levels[-1]
     tight, _ = definite_pair_bounds(1.0, lv.estimate, lv_prev.estimate)
-    assert tight == lv.aposteriori_bound
+    assert 0.5 * tight == lv.aposteriori_bound
 
     report_p = refine(EXP, UNIT, "s_plus", tol=1e-5)
     lv_prev, lv = report_p.levels[-2], report_p.levels[-1]
     c = (4.0 * lv_prev.n - 1.0) / (4.0 * lv_prev.n - 3.0)
     tight_p, _ = definite_pair_bounds(c, lv.estimate, lv_prev.estimate)
-    assert tight_p == lv.aposteriori_bound
+    assert 0.5 * tight_p == lv.aposteriori_bound
 
 
 @pytest.mark.parametrize("rule", ["s_minus", "s_plus", "mean"])
 @pytest.mark.parametrize("F", [EXP, BUILTINS["exp_xy"].integrand], ids=["romberg", "exact"])
 def test_final_value_and_bound_are_the_last_rows(F, rule):
     """For every rule the certified bound is the row's bound plus its
-    trace budget, and the report's final figures are the last row's."""
+    trace budget, and the report's final figures are the last row's; the
+    mean's centre is its estimate."""
     for tol in (1e-4, 1e-15):
         report = _solve(F, UNIT, rule, tol, max_n=64)
         last = report.levels[-1]
-        assert report.final_value == last.estimate
+        assert report.final_value == last.centre
         assert report.final_bound == last.aposteriori_bound + last.trace_budget
+        if rule == "mean":
+            assert all(lv.centre == lv.estimate for lv in report.levels)
 
 
 def test_table_columns_are_the_refinement_pair_bounds():
-    """`trapcube table` and `refine` take their pair bounds from one place."""
+    """`trapcube table` and `refine` take their pair bounds from one place:
+    the table prints half the mid-line pair bound, which is refine's
+    bound, and the whole edge pair bound, which is twice refine's."""
     _, rows = table_rows("exp_xy", [4])
     F = BUILTINS["exp_xy"].integrand
     minus = refine(F, UNIT, "s_minus", tol=1.0).levels[1]
     plus = refine(F, UNIT, "s_plus", tol=1.0).levels[1]
     assert minus.n == plus.n == 8
-    assert rows[0].half_diff_minus == minus.table_bound
-    assert rows[0].bound_plus == plus.aposteriori_bound
+    assert rows[0].half_diff_minus == minus.aposteriori_bound
+    assert rows[0].bound_plus == 2 * plus.aposteriori_bound
 
 
 def test_refine_evaluates_each_level_grid_once_with_exact_traces(counted_exp_xy):
     F, calls = counted_exp_xy
     report = refine(F, UNIT, "s_minus", tol=1e-4)
-    assert [lv.n for lv in report.levels] == [4, 8, 18, 36]
-    assert calls[0] == 25 + 81 + 361 + 1369
+    assert [lv.n for lv in report.levels] == [4, 8, 12, 24]
+    assert calls[0] == 25 + 81 + 169 + 625
     for solve in (
         lambda: refine(F, UNIT, "s_plus", tol=1e-6),
         lambda: refine_mean(F, UNIT, tol=1e-6),
@@ -294,7 +302,7 @@ def _assert_pair_rows(report):
     for prev_n, lv in zip(previous, report.levels):
         has_bound = mean or (prev_n is not None and 2 * prev_n == lv.n)
         assert (lv.aposteriori_bound is not None) == has_bound
-        assert (lv.table_bound is not None) == (has_bound and not mean)
+        assert (lv.centre is not None) == has_bound
 
 
 _RULE = st.sampled_from(["s_minus", "s_plus", "mean"])
@@ -372,18 +380,18 @@ def test_predicted_levels_count_only_grid_points_off_the_unit_square(counted_exp
 
 def test_predicted_levels_evaluate_fewer_points_than_doubling(counted_exp_xy):
     """Doubling from level 4 would stop at the first power-of-two pair
-    whose difference meets tol, (256, 512) here, after 351,568 points."""
+    whose half difference meets tol, (128, 256) here, after 88,399 points."""
     F, calls = counted_exp_xy
     report = refine(F, UNIT, "s_minus", 1e-6, max_n=4096)
-    assert [lv.n for lv in report.levels] == [4, 8, 162, 324]
-    assert calls[0] == 132_300
+    assert [lv.n for lv in report.levels] == [4, 8, 116, 232]
+    assert calls[0] == 68_084
     ns = [4]
     values = [s_minus(F, UNIT, 4).value]
-    while len(values) < 2 or abs(values[-1] - values[-2]) > 1e-6:
+    while len(values) < 2 or 0.5 * abs(values[-1] - values[-2]) > 1e-6:
         ns.append(2 * ns[-1])
         values.append(s_minus(F, UNIT, ns[-1]).value)
-    assert ns[-1] == 512
-    assert sum((n + 1) ** 2 for n in ns) == 351_568
+    assert ns[-1] == 256
+    assert sum((n + 1) ** 2 for n in ns) == 88_399
 
 
 @pytest.mark.parametrize("rule", ["s_minus", "s_plus"])
@@ -415,7 +423,7 @@ def test_predicted_levels_cap_an_unmet_tolerance_with_exact_traces():
 
 
 @pytest.mark.parametrize("rule,levels", [
-    ("s_plus", [4, 8, 186, 372, 224, 448]),
+    ("s_plus", [4, 8, 132, 264, 158, 316]),
     ("mean", [4, 166, 192]),
 ])
 def test_a_short_prediction_predicts_again(rule, levels):
@@ -431,3 +439,64 @@ def test_a_short_prediction_predicts_again(rule, levels):
     assert abs(report.final_value - exact) <= report.final_bound
     _assert_pair_rows(report)
 
+
+
+# --------------------------------------------------------------------------
+# The centred pair interval.
+
+
+def _overshoots(rule, sign):
+    return (rule == "s_minus") == (sign == "nonnegative")
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-5, 1e-6, 1e-7])
+@pytest.mark.parametrize("rule", ["s_minus", "s_plus"])
+@pytest.mark.parametrize("fn_id,sign", [("exp_xy", "nonnegative"), ("sin_xy", "nonpositive")])
+def test_centred_interval_reaches_from_the_rule_value_towards_the_integral(fn_id, sign, rule, tol):
+    """The declared sign puts the integral on one side of S(2m): the
+    reported interval has S(2m) at its upper end when the rule overshoots
+    and at its lower end when it undershoots, and holds the series value.
+    The traces are exact, so S(2m) is an end up to the rounding of
+    ``centre -+ bound``."""
+    builtin = BUILTINS[fn_id]
+    assert builtin.integrand.d22_sign == sign
+    report = refine(builtin.integrand, UNIT, rule, tol)
+    assert report.termination == "tolerance_met"
+    assert report.final_bound <= tol
+    s = report.levels[-1].estimate
+    lower, upper = report.final_value - report.final_bound, report.final_value + report.final_bound
+    near, far = (upper, lower) if _overshoots(rule, sign) else (lower, upper)
+    assert abs(near - s) <= 2 * math.ulp(s)
+    assert abs(far - s) == pytest.approx(2 * report.final_bound, rel=1e-9)
+    reference = builtin.reference().value
+    assert lower <= reference <= upper
+    assert (s >= reference) == _overshoots(rule, sign)
+
+
+@given(
+    rule=st.sampled_from(["s_minus", "s_plus"]),
+    k=st.floats(min_value=0.5, max_value=2.0),
+    a=st.floats(min_value=0.0, max_value=0.5, exclude_max=True),
+    w=st.floats(min_value=0.25, max_value=1.0, exclude_max=True),
+    log_rtol=st.floats(min_value=-3.0, max_value=-2.0),
+)
+@settings(max_examples=40, deadline=None)
+def test_centred_interval_certifies_small_exp_squares(rule, k, a, w, log_rtol):
+    """The squares, tolerances and level cap of the certify-small
+    benchmark, with Romberg traces: the centred interval holds the
+    brute-force integral within the benchmark's 1e-12 relative margin,
+    and the rule value lies on the side the declared sign gives."""
+    iv = Interval(a, a + w)
+    F = Integrand2D(f=lambda x, y: math.exp(k * x * y), d22_sign="nonnegative")
+    ref = brute_force_integral(lambda x, y: np.exp(k * x * y), iv, 6)
+    margin = 1e-12 * abs(ref)
+    tol = 10.0**log_rtol * abs(ref)
+    report = refine(F, iv, rule, tol, max_n=64)
+    assert report.termination == "tolerance_met"
+    assert report.final_bound <= tol
+    assert abs(report.final_value - ref) <= report.final_bound + margin
+    s, budget = report.levels[-1].estimate, report.levels[-1].trace_budget
+    if _overshoots(rule, F.d22_sign):
+        assert s + budget + margin >= ref
+    else:
+        assert s - budget - margin <= ref

@@ -91,14 +91,15 @@ def _library_exp_minus():
 def test_integrate_minus_text(capsys):
     code, out, _ = run(capsys, "integrate", "--fn", "exp_xy", "--rule", "minus", "--tol", "1e-4")
     assert code == 0
-    assert "final value: 1.3179247567793313" in out
-    assert "certified bound: 6.803143e-05" in out
-    assert "table bound: 3.401572e-05" in out
+    assert "final value: 1.3178761499948879" in out
+    assert "certified bound: 7.691394e-05" in out
+    assert "table bound" not in out
     assert "termination: tolerance_met" in out
-    assert _library_exp_minus().final_value == 1.3179247567793313
-    # Level 18 follows level 8, not its half level 9: no bound of its own.
-    row_18 = next(line.split() for line in out.splitlines() if line.split()[:1] == ["18"])
-    assert row_18[3:5] == ["-", "-"]
+    assert _library_exp_minus().final_value == 1.3178761499948879
+    assert out.splitlines()[1].split() == ["n", "estimate", "diff", "bound", "budget"]
+    # Level 12 follows level 8, not its half level 6: no bound of its own.
+    row_12 = next(line.split() for line in out.splitlines() if line.split()[:1] == ["12"])
+    assert row_12[3:] == ["-", "0.000e+00"]
 
 
 def test_integrate_bilinear_converges_at_first_doubling(capsys):
@@ -135,12 +136,13 @@ def test_integrate_json_levels_and_summary(capsys):
     lines = [json.loads(l) for l in out.strip().splitlines()]
     summary = lines[-1]
     assert summary["termination"] == "tolerance_met"
-    assert summary["final_n"] == 36
-    assert [row["n"] for row in lines[:-1]] == [4, 8, 18, 36]
-    assert lines[1]["aposteriori_bound"] == pytest.approx(2 * lines[1]["table_bound"])
-    assert lines[2]["aposteriori_bound"] is None and lines[2]["table_bound"] is None
+    assert summary["final_n"] == 24
+    assert [row["n"] for row in lines[:-1]] == [4, 8, 12, 24]
+    assert lines[1]["centre"] == lines[1]["estimate"] - lines[1]["aposteriori_bound"]
+    assert lines[2]["aposteriori_bound"] is None and lines[2]["centre"] is None
+    assert summary["final_value"] == lines[-2]["centre"]
     report = _library_exp_minus()
-    assert [lv.n for lv in report.levels] == [4, 8, 18, 36]
+    assert [lv.n for lv in report.levels] == [4, 8, 12, 24]
     assert (summary["final_value"], summary["final_bound"]) == (report.final_value, report.final_bound)
 
 
@@ -151,7 +153,7 @@ def test_json_key_order_is_pinned(capsys):
     )
     lines = [list(json.loads(l)) for l in out.strip().splitlines()]
     level_keys = [
-        "n", "estimate", "diff_to_previous", "aposteriori_bound", "table_bound", "trace_budget",
+        "n", "estimate", "diff_to_previous", "aposteriori_bound", "centre", "trace_budget",
     ]
     assert lines[:-1] == [level_keys] * 4
     assert lines[-1] == ["fn", "rule", "final_n", "final_value", "final_bound", "termination"]
@@ -168,10 +170,12 @@ def test_integrate_csv_round_trips(capsys):
     )
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "n,estimate,diff_to_previous,aposteriori_bound,table_bound,trace_budget"
+    assert lines[0] == "n,estimate,diff_to_previous,aposteriori_bound,centre,trace_budget"
     last = lines[-1].split(",")
-    assert float(last[1]) == 1.3179247567793313
-    assert float(last[1]) == _library_exp_minus().final_value
+    assert float(last[1]) == 1.3179530639373169
+    assert float(last[4]) == 1.3178761499948879
+    report = _library_exp_minus()
+    assert (float(last[1]), float(last[4])) == (report.levels[-1].estimate, report.final_value)
 
 
 def test_integrate_usage_errors(capsys):

@@ -170,6 +170,19 @@ def test_error_constant_signs_and_decay():
         assert error_constant("s_plus", UNIT, 2 * n) < cp
 
 
+@pytest.mark.parametrize("solve", [
+    lambda n: product_trapezoid(EXP, UNIT, n),
+    lambda n: s_minus(EXP, UNIT, n),
+    lambda n: s_plus(EXP, UNIT, n),
+    lambda n: enclosure(EXP, UNIT, n, n),
+    lambda n: enclosure(EXP, UNIT, 4, n),
+], ids=["product_trapezoid", "s_minus", "s_plus", "enclosure", "enclosure_mixed"])
+@pytest.mark.parametrize("n", [2.0, 2.5, math.nan])
+def test_rules_refuse_a_level_that_is_not_an_integer(solve, n):
+    with pytest.raises(ValueError, match=f"panel count must be an integer, got {n}"):
+        solve(n)
+
+
 def test_error_constant_validation():
     with pytest.raises(ValueError):
         error_constant("s_midpoint", UNIT, 1)

@@ -345,8 +345,13 @@ def test_dense_violation_scan_memory_does_not_grow_with_the_violations():
 
 def test_scan_rejects_bad_arguments():
     spec = KernelSpec(kind="k22_s_minus", n=1)
-    with pytest.raises(ValueError, match="resolution must be >= 2"):
-        definiteness_scan(spec, 1)
+    for resolution, message in (
+        (1, "resolution must be >= 2"),
+        (64.0, "resolution must be an integer, got 64.0"),
+        (math.nan, "resolution must be an integer, got nan"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            definiteness_scan(spec, resolution)
 
 
 # Local cell polynomials.

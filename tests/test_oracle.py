@@ -109,10 +109,14 @@ def test_brute_force_on_shifted_square():
 
 
 def test_brute_force_level_validation():
-    with pytest.raises(ValueError):
-        brute_force_integral(lambda x, y: x, UNIT, 0)
-    with pytest.raises(ValueError):
-        brute_force_integral(lambda x, y: x, UNIT, 15)
+    for level, message in (
+        (0, "level must be in 1..14, got 0"),
+        (15, "level must be in 1..14, got 15"),
+        (2.5, "level must be an integer, got 2.5"),
+        (4.0, "level must be an integer, got 4.0"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            brute_force_integral(lambda x, y: x, UNIT, level)
 
 
 def test_brute_force_rejects_non_finite_values():

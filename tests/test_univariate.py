@@ -66,8 +66,13 @@ def test_midpoint_rule_layout():
 
 
 def test_trapezium_rule_rejects_bad_panel_count():
-    with pytest.raises(ValueError):
-        trapezium_rule(UNIT, 0)
+    for n, message in (
+        (0, "panel count must be >= 1, got 0"),
+        (2.0, "panel count must be an integer, got 2.0"),
+        (math.nan, "panel count must be an integer, got nan"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            trapezium_rule(UNIT, n)
 
 
 def test_trapezium_rule_rejects_a_subnormal_panel_width():
