@@ -25,21 +25,25 @@ rules is bounded by their half gap at any single level.  For every rule
 the certified bound is that bound plus the trace budget, and the driver
 stops as soon as it is at most the requested tolerance.
 
-The tolerance picks the levels.  The driver runs the probe pair
-(4, 8), then takes the n^-2 rate of :func:`cubature.error_constant` to
-predict from the last pair's bound the coarse level m whose pair
-(m, 2m) meets the tolerance, and evaluates that pair; a pair that falls
-short predicts again.  Only a row whose previous row is its half level
-carries a bound.  The mean runs level 4 and then one predicted level at
-a time.
+The tolerance picks the levels, one round at a time.  A round of a
+one-sided rule evaluates the pair (m, 2m), skipping m when the last
+round ended on it; a round of the mean evaluates m alone.  The first
+round has m = 4, so a one-sided solve starts with the probe pair
+(4, 8).  The driver stops at the first row whose certified bound meets
+the tolerance.  Otherwise it takes the n^-2 rate of
+:func:`cubature.error_constant` to predict from the last row's bound
+the m of the next round, and stops at the cap when that m is not finer
+than the last one.  Only a row whose previous row is its half level
+carries a bound, so the coarse row of a round carries one when the
+round before ended on its half level.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from .cubature import Integrand2D, _levels
+from .cubature import Integrand2D, _levels, _overshooting_rule
 from .univariate import Interval, _integer
 
 __all__ = [
@@ -117,19 +121,6 @@ def _pair_bound(rule: str, n: int, coarse: float, fine: float) -> float:
     return definite_pair_bounds(c, fine, coarse)[0]
 
 
-def _validate_refine_args(F: Integrand2D, tol: float, max_n: int) -> None:
-    if F.d22_sign is None:
-        raise ValueError(
-            "definiteness not declared: Integrand2D.d22_sign is required"
-        )
-    if not tol > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
-    if _integer(max_n, "max_n") < 2 * _N0:
-        raise ValueError(
-            f"max_n must allow at least one doubling: need >= {2 * _N0}, got {max_n}"
-        )
-
-
 def _predict(n: int, bound: float, budget: float, tol: float, cap: int, even: bool) -> int:
     """Smallest level the n^-2 rate expects to bring ``bound`` under ``tol``.
 
@@ -147,88 +138,72 @@ def _predict(n: int, bound: float, budget: float, tol: float, cap: int, even: bo
     return min(level + level % 2 if even else level, cap)
 
 
-def _level_schedule(
-    rule: str, tol: float, max_n: int, levels: List[RefinementLevel]
-) -> Iterator[int]:
-    """Levels of a solve, each chosen from the rows so far.
+def _refine(F: Integrand2D, iv: Interval, rule: str, tol: float, max_n: int) -> RefinementReport:
+    """The refinement loop behind :func:`refine` and :func:`refine_mean`.
 
-    The refinement loop appends a row to ``levels`` before it asks for
-    the next level, so each prediction reads the last bound.  Each round
-    yields a level m, unless the last row already has it, and for a
-    one-sided rule its pair 2m; the next m is predicted from the last
-    row, from its half level for a pair.  The mid-line rule, alone or in
-    the mean, gets even levels, whose mid-lines are grid lines.  The
-    iterator ends once the next level would not be finer, which happens
-    only at the cap.
+    ``rule`` is 's_minus', 's_plus' or 'mean'.  The loop runs in rounds
+    from m = 4.  A round evaluates level m, unless the last row already
+    has it, and then 2m for a one-sided rule; the solve ends with
+    'tolerance_met' as soon as a row's certified bound meets ``tol``.
+    Otherwise :func:`_predict` picks the next m from m and the last
+    row's bound, and the solve ends with 'max_n_reached' when that m is
+    not above the current one, which happens only at the cap.  The
+    mid-line rule, alone or in the mean, gets even levels, whose
+    mid-lines are grid lines.  Every level is one call of the function
+    :func:`cubature._levels` returns, so each costs one grid pass (shared
+    by both rules for 'mean') and the trace integrals are computed once
+    per solve.
     """
+    # The side of S(2m) the integral lies on comes from the declaration.
+    overshoots = rule == _overshooting_rule(F)
+    if not tol > 0.0:
+        raise ValueError(f"tolerance must be positive, got {tol!r}")
+    if _integer(max_n, "max_n") < 2 * _N0:
+        raise ValueError(f"max_n must allow at least one doubling: need >= {2 * _N0}, got {max_n}")
     pairs = rule != "mean"
     even = rule != "s_plus"
     cap = max_n // 2 if pairs else max_n
     if even:
         cap -= cap % 2
+    level = _levels(F, iv, (rule,) if pairs else ("s_plus", "s_minus"))
+    levels: List[RefinementLevel] = []
     m = _N0
     while True:
-        if not levels or levels[-1].n != m:
-            yield m
-        if pairs:
-            yield 2 * m
-        last = levels[-1]
-        base = last.n // 2 if pairs else last.n
-        m = _predict(base, last.aposteriori_bound, last.trace_budget, tol, cap, even)
-        if m <= base:
-            return
-
-
-def _refine(
-    F: Integrand2D,
-    iv: Interval,
-    rule: str,
-    tol: float,
-    max_n: int,
-) -> RefinementReport:
-    """The refinement loop behind :func:`refine` and :func:`refine_mean`.
-
-    ``rule`` is 's_minus', 's_plus' or 'mean'.  The levels
-    :func:`_level_schedule` picks come from one :func:`cubature._levels`
-    call, so each costs one grid pass (shared by both rules for 'mean')
-    and the trace integrals are computed once per solve.
-    """
-    levels: List[RefinementLevel] = []
-    ns = _level_schedule(rule, tol, max_n, levels)
-    rules = ("s_plus", "s_minus") if rule == "mean" else (rule,)
-    # The side of S(2m) the integral lies on comes from the declaration.
-    overshoots = (rule == "s_minus") == (F.d22_sign == "nonnegative")
-    termination = "max_n_reached"
-    for values in _levels(F, iv, rules, ns):
-        n = values[rules[0]].n
-        diff = bound = centre = None
-        if rule == "mean":
-            lo, hi = values["s_plus"], values["s_minus"]
-            estimate = centre = 0.5 * (lo.value + hi.value)
-            budget = max(lo.trace_err_budget, hi.trace_err_budget)
-            bound = 0.5 * abs(hi.value - lo.value)
-        else:
-            estimate, budget = values[rule].value, values[rule].trace_err_budget
-        if levels:
-            prev = levels[-1]
-            diff = estimate - prev.estimate
-            if rule != "mean" and 2 * prev.n == n:
-                bound = 0.5 * _pair_bound(rule, prev.n, prev.estimate, estimate)
-                centre = estimate - bound if overshoots else estimate + bound
-        levels.append(
-            RefinementLevel(
-                n=n,
-                estimate=estimate,
-                diff_to_previous=diff,
-                aposteriori_bound=bound,
-                centre=centre,
-                trace_budget=budget,
+        for n in (m, 2 * m) if pairs else (m,):
+            if levels and levels[-1].n == n:
+                continue
+            values = level(n)
+            diff = bound = centre = None
+            if rule == "mean":
+                lo, hi = values["s_plus"], values["s_minus"]
+                estimate = centre = 0.5 * (lo.value + hi.value)
+                budget = max(lo.trace_err_budget, hi.trace_err_budget)
+                bound = 0.5 * abs(hi.value - lo.value)
+            else:
+                estimate, budget = values[rule].value, values[rule].trace_err_budget
+            if levels:
+                prev = levels[-1]
+                diff = estimate - prev.estimate
+                if pairs and 2 * prev.n == n:
+                    bound = 0.5 * _pair_bound(rule, prev.n, prev.estimate, estimate)
+                    centre = estimate - bound if overshoots else estimate + bound
+            levels.append(
+                RefinementLevel(
+                    n=n,
+                    estimate=estimate,
+                    diff_to_previous=diff,
+                    aposteriori_bound=bound,
+                    centre=centre,
+                    trace_budget=budget,
+                )
             )
-        )
-        if bound is not None and bound + budget <= tol:
-            termination = "tolerance_met"
-            break
-    return RefinementReport(rule=rule, levels=tuple(levels), termination=termination)
+            if bound is not None and bound + budget <= tol:
+                return RefinementReport(rule=rule, levels=tuple(levels), termination="tolerance_met")
+        last = levels[-1]
+        predicted = _predict(m, last.aposteriori_bound, last.trace_budget, tol, cap, even)
+        if predicted <= m:
+            return RefinementReport(rule=rule, levels=tuple(levels), termination="max_n_reached")
+        m = predicted
 
 
 def refine(
@@ -260,7 +235,6 @@ def refine(
     """
     if rule not in _RULES:
         raise ValueError(f"rule must be one of {_RULES}, got {rule!r}")
-    _validate_refine_args(F, tol, max_n)
     return _refine(F, iv, rule, tol, max_n)
 
 
@@ -281,7 +255,6 @@ def refine_mean(
     at a time, each predicted from the last half gap and budget by the
     n^-2 rate, rounded up to even and at most max_n.
     """
-    _validate_refine_args(F, tol, max_n)
     return _refine(F, iv, "mean", tol, max_n)
 
 

@@ -228,7 +228,8 @@ def table_rows(fn_id: str, n_list: Sequence[int]) -> Tuple[ReferenceValue, List[
             raise ValueError(f"levels must be in 1..{_MAX_TABLE_LEVEL}, got {n}")
     reference = builtin.reference()
     ns = sorted(set(n_list) | {2 * n for n in n_list})
-    values = dict(zip(ns, _levels(F, iv, ("s_minus", "s_plus"), ns)))
+    level = _levels(F, iv, ("s_minus", "s_plus"))
+    values = {n: level(n) for n in ns}
     minus = {n: level["s_minus"].value for n, level in values.items()}
     plus = {n: level["s_plus"].value for n, level in values.items()}
     rows = [

@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .univariate import _SIGNS, Interval, _integer, apply, trace_integral, trapezium_rule
 
@@ -466,22 +466,35 @@ def _combine(
 
 
 def _levels(
-    F: Integrand2D, iv: Interval, rules: Sequence[str], ns: Sequence[int]
-) -> Iterator[Dict[str, CubatureEstimate]]:
-    """``{rule: estimate}`` for each level n in ns, in order.
+    F: Integrand2D, iv: Interval, rules: Sequence[str]
+) -> Callable[[int], Dict[str, CubatureEstimate]]:
+    """A function ``level(n) -> {rule: estimate}`` for the given rules.
 
-    Each level costs one grid pass, which serves every rule.  The trace
+    Each call costs one grid pass, which serves every rule.  The trace
     integrals do not depend on the level, so the traces the rules need
-    are integrated once, right after the first pass.  Levels are
-    evaluated lazily: a caller that stops early pays for no further pass.
+    are integrated once, right after the first pass.  A refinement
+    (:func:`adaptive._refine`) calls it once per level of each round, so
+    a solve that stops early pays for no further pass.
     """
-    traces = None
-    for n in ns:
+    traces: Dict[str, Tuple[float, float]] = {}
+
+    def level(n: int) -> Dict[str, CubatureEstimate]:
         grid = _grid_pass(F, iv, n)
-        if traces is None:
+        if not traces:
             needed = [tid for tid in _TRACE_LINES for r in rules if tid in _RULE_TRACES[r]]
-            traces = _trace_integrals(F, iv, needed)
-        yield {rule: _combine(rule, F, iv, grid, traces) for rule in rules}
+            traces.update(_trace_integrals(F, iv, needed))
+        return {rule: _combine(rule, F, iv, grid, traces) for rule in rules}
+
+    return level
+
+
+def _overshooting_rule(F: Integrand2D) -> str:
+    """The one-sided rule that overshoots the integral of F: 's_minus' on
+    a declared nonnegative ``D22 f``, 's_plus' on a nonpositive one; the
+    other rule undershoots.  Refuses an integrand without a declaration."""
+    if F.d22_sign is None:
+        raise ValueError("definiteness not declared: Integrand2D.d22_sign is required")
+    return "s_minus" if F.d22_sign == "nonnegative" else "s_plus"
 
 
 def product_trapezoid(F: Integrand2D, iv: Interval, n: int) -> CubatureEstimate:
@@ -514,7 +527,7 @@ def s_minus(F: Integrand2D, iv: Interval, n: int) -> CubatureEstimate:
     an upper bound for the true integral (a lower bound when
     ``D22 f <= 0``).
     """
-    return next(_levels(F, iv, ("s_minus",), (n,)))["s_minus"]
+    return _levels(F, iv, ("s_minus",))(n)["s_minus"]
 
 
 def s_plus(F: Integrand2D, iv: Interval, n: int) -> CubatureEstimate:
@@ -529,7 +542,7 @@ def s_plus(F: Integrand2D, iv: Interval, n: int) -> CubatureEstimate:
     On integrands with ``D22 f >= 0`` the result is a lower bound for
     the true integral (an upper bound when ``D22 f <= 0``).
     """
-    return next(_levels(F, iv, ("s_plus",), (n,)))["s_plus"]
+    return _levels(F, iv, ("s_plus",))(n)["s_plus"]
 
 
 def error_constant(rule: str, iv: Interval, n: int) -> float:
@@ -562,15 +575,16 @@ def enclosure(F: Integrand2D, iv: Interval, n_plus: int, n_minus: int) -> Enclos
     to both ends, so the interval stays certified under inexact traces.
     With ``n_plus == n_minus`` both rules share one pass over the grid.
     """
-    if F.d22_sign is None:
-        raise ValueError("definiteness not declared: Integrand2D.d22_sign is required")
+    over = _overshooting_rule(F)
     if n_plus == n_minus:
-        level = next(_levels(F, iv, ("s_plus", "s_minus"), (n_plus,)))
-        low, high = level["s_plus"], level["s_minus"]
+        values = _levels(F, iv, ("s_plus", "s_minus"))(n_plus)
     else:
-        low, high = s_plus(F, iv, n_plus), s_minus(F, iv, n_minus)
-    if F.d22_sign == "nonpositive":
-        low, high = high, low
+        # Refuse a bad level before either grid pass.
+        for n in (n_plus, n_minus):
+            trapezium_rule(iv, n)
+        values = {"s_plus": s_plus(F, iv, n_plus), "s_minus": s_minus(F, iv, n_minus)}
+    high = values.pop(over)
+    (low,) = values.values()
     slack = max(low.trace_err_budget, high.trace_err_budget)
     return Enclosure(
         lower=low.value - slack,

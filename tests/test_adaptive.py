@@ -240,6 +240,13 @@ def test_refine_evaluates_each_level_grid_once_with_exact_traces(counted_exp_xy)
     report = refine(F, UNIT, "s_minus", tol=1e-4)
     assert [lv.n for lv in report.levels] == [4, 8, 12, 24]
     assert calls[0] == 25 + 81 + 169 + 625
+    # Capped predictions: s_plus's lands on the last row's level 8, which its
+    # round does not evaluate again; s_minus's lands on 10, then on 10 again.
+    for rule, max_n, ns in (("s_plus", 16, [4, 8, 16]), ("s_minus", 20, [4, 8, 10, 20])):
+        calls[0] = 0
+        report = refine(F, UNIT, rule, tol=1e-12, max_n=max_n)
+        assert [lv.n for lv in report.levels] == ns
+        assert calls[0] == sum((n + 1) ** 2 for n in ns)
     for solve in (
         lambda: refine(F, UNIT, "s_plus", tol=1e-6),
         lambda: refine_mean(F, UNIT, tol=1e-6),

@@ -183,6 +183,14 @@ def test_rules_refuse_a_level_that_is_not_an_integer(solve, n):
         solve(n)
 
 
+@pytest.mark.parametrize("n_plus,n_minus", [(4, 2.0), (2.0, 4), (4, 0), (0, 4)])
+def test_enclosure_refuses_a_bad_level_before_evaluating_f(counted_exp_xy, n_plus, n_minus):
+    F, calls = counted_exp_xy
+    with pytest.raises(ValueError, match="panel count must be"):
+        enclosure(F, UNIT, n_plus, n_minus)
+    assert calls[0] == 0
+
+
 def test_error_constant_validation():
     with pytest.raises(ValueError):
         error_constant("s_midpoint", UNIT, 1)

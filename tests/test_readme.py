@@ -4,7 +4,9 @@ import io
 import re
 from pathlib import Path
 
-from trapcube.oracle import ref_exp_integral
+import numpy as np
+
+from trapcube.oracle import brute_force_integral, ref_exp_integral
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -28,3 +30,11 @@ def test_exact_traces_example_has_no_trace_budget():
     box = namespace["enclosure"](f, square, 4, 4)
     assert box.slack == 0.0
     assert box.lower <= ref_exp_integral().value <= box.upper
+    # At the edge x = 1e-81 the line integral's c is tiny, where a
+    # difference of exponentials over c loses every digit.
+    near_zero = namespace["Interval"](1e-81, 0.5)
+    truth = brute_force_integral(lambda x, y: np.exp(x * y), near_zero, 6)
+    report = namespace["refine"](f, near_zero, "s_plus", tol=1e-4)
+    assert abs(report.final_value - truth) <= report.final_bound
+    box = namespace["enclosure"](f, near_zero, 8, 8)
+    assert box.lower <= truth <= box.upper and box.upper - box.lower < 1e-4
