@@ -25,6 +25,12 @@ rules is bounded by their half gap at any single level.  For every rule
 the certified bound is that bound plus the trace budget, and the driver
 stops as soon as it is at most the requested tolerance.
 
+Romberg traces are integrated to ``max(tol / (2000 * width), 1e-12)``
+each.  Every rule's trace budget is twice the width times that, so it is
+tol/1000, except where the fixed floor 1e-12 of the fixed-level rules
+makes it larger.  Like theirs, it is Romberg's stopping tolerance: a
+heuristic, not a proven bound.
+
 The tolerance picks the levels, one round at a time.  A round of a
 one-sided rule evaluates the pair (m, 2m), skipping m when the last
 round ended on it; a round of the mean evaluates m alone.  The first
@@ -43,7 +49,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .cubature import Integrand2D, _levels, _overshooting_rule
+from .cubature import _TRACE_TOL, Integrand2D, _levels, _overshooting_rule
 from .univariate import Interval, _integer
 
 __all__ = [
@@ -156,8 +162,8 @@ def _refine(F: Integrand2D, iv: Interval, rule: str, tol: float, max_n: int) -> 
     """
     # The side of S(2m) the integral lies on comes from the declaration.
     overshoots = rule == _overshooting_rule(F)
-    if not tol > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
     if _integer(max_n, "max_n") < 2 * _N0:
         raise ValueError(f"max_n must allow at least one doubling: need >= {2 * _N0}, got {max_n}")
     pairs = rule != "mean"
@@ -165,7 +171,11 @@ def _refine(F: Integrand2D, iv: Interval, rule: str, tol: float, max_n: int) -> 
     cap = max_n // 2 if pairs else max_n
     if even:
         cap -= cap % 2
-    level = _levels(F, iv, (rule,) if pairs else ("s_plus", "s_minus"))
+    # Every rule's trace budget is 2 * width times the per-trace tolerance,
+    # so this one spends tol/1000 on the traces, or 2 * width * _TRACE_TOL
+    # where that is more.
+    trace_tol = max(tol / (2000.0 * iv.width), _TRACE_TOL)
+    level = _levels(F, iv, (rule,) if pairs else ("s_plus", "s_minus"), trace_tol)
     levels: List[RefinementLevel] = []
     m = _N0
     while True:
@@ -228,7 +238,10 @@ def refine(
     'max_n_reached' once the cap pair misses ``tol`` (the report still
     carries the best value and bound).  Only a row whose previous row is
     its half level, such as the finer row of each pair, carries
-    ``aposteriori_bound`` and ``centre``.
+    ``aposteriori_bound`` and ``centre``.  Romberg traces are integrated
+    to ``max(tol / (2000 * width), 1e-12)`` each, which makes the trace
+    budget tol/1000 where the floor does not bind; ``tol`` must be finite
+    and positive.
 
     The integrand must declare its mixed-derivative sign, since the
     bounds only hold for one-signed derivatives.
@@ -253,7 +266,8 @@ def refine_mean(
     at the coarsest level because the true integral lies between the two
     rule values, so every row carries it.  The levels are 4 and then one
     at a time, each predicted from the last half gap and budget by the
-    n^-2 rate, rounded up to even and at most max_n.
+    n^-2 rate, rounded up to even and at most max_n.  Romberg traces are
+    integrated as in :func:`refine`, to a trace budget of tol/1000.
     """
     return _refine(F, iv, "mean", tol, max_n)
 

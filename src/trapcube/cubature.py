@@ -66,8 +66,11 @@ class Integrand2D:
         ``t -> f(t, c)``.  The rules call them with c an end or the
         midpoint of iv: ``s_plus`` at the four edges, ``s_minus`` at the
         two mid-lines.  Without them every trace is integrated by
-        adaptive Romberg integration to absolute tolerance 1e-12, which
-        then enters the error budget.
+        adaptive Romberg integration to an absolute tolerance, which then
+        enters the error budget: 1e-12 for the fixed-level rules, and
+        ``max(tol / (2000 * width), 1e-12)`` in a refinement to tol, whose
+        trace budget is then tol/1000.  That tolerance is Romberg's
+        stopping test, an estimate and not a proven bound.
     vectorized : bool, optional
         Declares that f also accepts numpy arrays.  The grid pass then
         calls ``f(X, Y)`` on blocks of rows, with X a column of x nodes
@@ -97,10 +100,13 @@ class Integrand2D:
 class CubatureEstimate:
     """Value of one cubature rule application plus its metadata.
 
-    ``trace_err_budget`` is the worst-case perturbation of ``value``
-    caused by inexactly known trace integrals: each trace's Romberg
-    tolerance scaled by the coefficient it enters the rule with.  It is
-    zero for the plain product rule and whenever all traces are exact.
+    ``trace_err_budget`` is the perturbation of ``value`` allowed for
+    inexactly known trace integrals: each trace's Romberg tolerance scaled
+    by the coefficient it enters the rule with, ``2 * width * t`` for a
+    per-trace tolerance t (1e-12 here; a refinement to tol uses
+    ``max(tol / (2000 * width), 1e-12)``).  Romberg's tolerance is its
+    stopping test, a heuristic and not a proven bound.  The budget is zero
+    for the plain product rule and whenever all traces are exact.
     """
 
     value: float
@@ -423,17 +429,21 @@ def _grid_pass(F: Integrand2D, iv: Interval, n: int) -> _GridPass:
 
 
 #: Absolute Romberg tolerance of a trace integral without an exact
-#: supplier; it is that trace's budget.
+#: supplier, which is that trace's budget, for the fixed-level rules; a
+#: refinement uses it as the floor of its own (:func:`adaptive._refine`).
 _TRACE_TOL = 1e-12
 
 
-def _trace_integrals(F: Integrand2D, iv: Interval, trace_ids) -> Dict[str, Tuple[float, float]]:
-    """``(value, budget)`` of each named trace integral over iv."""
+def _trace_integrals(
+    F: Integrand2D, iv: Interval, trace_ids, tol: float
+) -> Dict[str, Tuple[float, float]]:
+    """``(value, budget)`` of each named trace integral over iv, with
+    Romberg traces integrated to absolute tolerance tol."""
     out = {}
     for tid in trace_ids:
         axis, coordinate_of = _TRACE_LINES[tid]
         exact = None if F.exact_traces is None else functools.partial(F.exact_traces[axis], coordinate_of(iv))
-        out[tid] = trace_integral(_trace_function(F.f, tid, iv), iv, exact=exact, tol=_TRACE_TOL)
+        out[tid] = trace_integral(_trace_function(F.f, tid, iv), iv, exact=exact, tol=tol)
     return out
 
 
@@ -466,15 +476,16 @@ def _combine(
 
 
 def _levels(
-    F: Integrand2D, iv: Interval, rules: Sequence[str]
+    F: Integrand2D, iv: Interval, rules: Sequence[str], trace_tol: float = _TRACE_TOL
 ) -> Callable[[int], Dict[str, CubatureEstimate]]:
     """A function ``level(n) -> {rule: estimate}`` for the given rules.
 
     Each call costs one grid pass, which serves every rule.  The trace
     integrals do not depend on the level, so the traces the rules need
-    are integrated once, right after the first pass.  A refinement
-    (:func:`adaptive._refine`) calls it once per level of each round, so
-    a solve that stops early pays for no further pass.
+    are integrated once, right after the first pass, Romberg traces to
+    ``trace_tol``.  A refinement (:func:`adaptive._refine`) calls it once
+    per level of each round, so a solve that stops early pays for no
+    further pass.
     """
     traces: Dict[str, Tuple[float, float]] = {}
 
@@ -482,7 +493,7 @@ def _levels(
         grid = _grid_pass(F, iv, n)
         if not traces:
             needed = [tid for tid in _TRACE_LINES for r in rules if tid in _RULE_TRACES[r]]
-            traces.update(_trace_integrals(F, iv, needed))
+            traces.update(_trace_integrals(F, iv, needed, trace_tol))
         return {rule: _combine(rule, F, iv, grid, traces) for rule in rules}
 
     return level
@@ -576,7 +587,8 @@ def enclosure(F: Integrand2D, iv: Interval, n_plus: int, n_minus: int) -> Enclos
     With ``n_plus == n_minus`` both rules share one pass over the grid.
     """
     over = _overshooting_rule(F)
-    if n_plus == n_minus:
+    # A float level equal to the other would otherwise take the shared pass.
+    if _integer(n_plus, "panel count") == _integer(n_minus, "panel count"):
         values = _levels(F, iv, ("s_plus", "s_minus"))(n_plus)
     else:
         # Refuse a bad level before either grid pass.

@@ -1,6 +1,7 @@
 """Tests for the refinement driver, its predicted levels and its
 certified stopping bounds."""
 import math
+import sys
 
 import pytest
 import numpy as np
@@ -28,9 +29,9 @@ def test_refine_minus_level_sequence_and_stop():
     assert report.final_n == 24
     last = report.levels[-1]
     assert report.final_value == last.centre == last.estimate - last.aposteriori_bound
-    # final bound = |diff| / 2 + 2e-12 Romberg trace budget
-    assert report.final_bound == pytest.approx(7.691394442903549e-05, rel=1e-9)
-    assert report.final_value == pytest.approx(1.317876149994888, rel=1e-12)
+    # final bound = |diff| / 2 + the Romberg trace budget tol/1000 = 1e-7
+    assert report.final_bound == pytest.approx(7.701394242903549e-05, rel=1e-9)
+    assert report.final_value == pytest.approx(1.317876149996916, rel=1e-12)
     assert abs(report.final_value - ref_exp_integral().value) <= report.final_bound
 
 
@@ -124,6 +125,16 @@ def test_refine_validation():
         with pytest.raises(ValueError, match="max_n must be an integer"):
             refine_mean(never, UNIT, tol=1e-14, max_n=max_n)
     assert refine(EXP, UNIT, "s_minus", tol=1e-4, max_n=np.int64(64)).final_n == 24
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+def test_refine_refuses_a_tolerance_that_is_not_finite_and_positive(tol):
+    """An infinite tol would make the tied trace tolerance, and so the
+    certified bound, infinite."""
+    never = Integrand2D(f=lambda x, y: pytest.fail("f was evaluated"), d22_sign="nonnegative")
+    for solve in (lambda: refine(never, UNIT, "s_minus", tol), lambda: refine_mean(never, UNIT, tol)):
+        with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+            solve()
 
 
 def test_refine_mean_estimates_are_rule_midpoints():
@@ -289,6 +300,79 @@ def test_non_finite_exact_traces_are_refused():
         enclosure(F, UNIT, 4, 4)
     with pytest.raises(ValueError, match="exact trace integral returned non-finite value nan"):
         refine(F, UNIT, "s_minus", 1e-3, max_n=16)
+
+
+# --------------------------------------------------------------------------
+# The Romberg trace tolerance of a refinement.
+
+
+@pytest.mark.parametrize("rule", ["s_minus", "s_plus", "mean"])
+@pytest.mark.parametrize("iv,tol", [
+    (UNIT, 1e-4), (UNIT, 2e-9), (Interval(0.3, 0.55), 1e-6), (Interval(0.1, 1.2), 3e-3),
+])
+def test_romberg_trace_budget_is_a_thousandth_of_tol(iv, tol, rule):
+    """Each trace is integrated to tol / (2000 * width), and every rule
+    spends twice the width times that on its traces."""
+    assert tol >= 2000 * iv.width * 1e-12
+    report = _solve(EXP, iv, rule, tol, max_n=64)
+    for lv in report.levels:
+        assert lv.trace_budget == pytest.approx(tol / 1000, rel=1e-14)
+
+
+@pytest.mark.parametrize("rule", ["s_minus", "s_plus", "mean"])
+@pytest.mark.parametrize("iv,tol", [
+    (UNIT, 2e-9), (UNIT, 1e-10), (Interval(0.3, 0.55), 5e-10), (Interval(0.1, 1.2), 1e-12),
+])
+def test_a_tolerance_at_the_floor_keeps_the_fixed_trace_tolerance(monkeypatch, iv, tol, rule):
+    """Where tol / (2000 * width) is at most 1e-12, a refinement's result
+    is that of the fixed trace tolerance, bit for bit."""
+    assert tol <= 2000 * iv.width * 1e-12
+    tied = _solve(EXP, iv, rule, tol, max_n=64)
+    # The fixed tolerance is the default of the fixed-level rules.
+    levels = cubature._levels
+    monkeypatch.setattr(adaptive, "_levels", lambda F, iv, rules, trace_tol: levels(F, iv, rules))
+    fixed = _solve(EXP, iv, rule, tol, max_n=64)
+    assert repr(tied) == repr(fixed)
+    assert all(lv.trace_budget == pytest.approx(2 * iv.width * 1e-12, rel=1e-14) for lv in tied.levels)
+
+
+@given(
+    k=st.floats(min_value=0.5, max_value=2.0),
+    a=st.floats(min_value=0.0, max_value=0.5, exclude_max=True),
+    w=st.floats(min_value=0.25, max_value=1.0, exclude_max=True),
+    log_rtol=st.floats(min_value=-3.0, max_value=-2.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_tied_trace_tolerance_holds_on_small_exp_squares(k, a, w, log_rtol):
+    """On certify-small's squares and tolerances, every Romberg trace of
+    exp(kxy) at the tied tolerance lies within that tolerance of its closed
+    form (exp(kcb) - exp(kca)) / (kc), written as a product so that it
+    keeps its digits as kc approaches 0."""
+    iv = Interval(a, a + w)
+    F = Integrand2D(f=lambda x, y: math.exp(k * x * y), d22_sign="nonnegative")
+    tol = 10.0**log_rtol * brute_force_integral(lambda x, y: np.exp(k * x * y), iv, 4)
+    seen = []
+    integrate = cubature._trace_integrals
+
+    def spy(F, iv, trace_ids, trace_tol):
+        out = integrate(F, iv, trace_ids, trace_tol)
+        seen.append((trace_tol, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cubature, "_trace_integrals", spy)
+        refine_mean(F, iv, tol, max_n=64)
+    ((trace_tol, traces),) = seen
+    assert trace_tol == max(tol / (2000 * iv.width), 1e-12)
+    assert len(traces) == 6
+    for tid, (value, budget) in traces.items():
+        x = k * cubature._TRACE_LINES[tid][1](iv)
+        if abs(x * iv.width) < sys.float_info.min:
+            closed = iv.width * math.exp(x * iv.a)
+        else:
+            closed = math.exp(x * iv.a) * math.expm1(x * iv.width) / x
+        assert budget == trace_tol
+        assert abs(value - closed) <= trace_tol, (tid, value, closed, trace_tol)
 
 
 # --------------------------------------------------------------------------

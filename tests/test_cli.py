@@ -181,6 +181,10 @@ def test_integrate_csv_round_trips(capsys):
 def test_integrate_usage_errors(capsys):
     assert run(capsys, "integrate", "--fn", "nope", "--rule", "minus", "--tol", "1e-4")[0] == 2
     assert run(capsys, "integrate", "--fn", "exp_xy", "--rule", "minus", "--tol", "-1")[0] == 2
+    for tol in ("inf", "nan"):
+        code, out, err = run(capsys, "integrate", "--fn", "exp_xy", "--rule", "mean", "--tol", tol)
+        assert (code, out) == (2, "")
+        assert err == f"error: tolerance must be finite and positive, got {tol}\n"
     assert run(capsys, "integrate", "--fn", "exp_xy", "--rule", "minus", "--tol", "1e-4", "--a", "2", "--b", "1")[0] == 2
     assert run(capsys, "integrate", "--fn", "exp_xy", "--rule", "minus", "--tol", "1e-4", "--max-n", "7")[0] == 2
     # The refinement always starts at level 4: there is no --n0.

@@ -183,8 +183,10 @@ def test_rules_refuse_a_level_that_is_not_an_integer(solve, n):
         solve(n)
 
 
-@pytest.mark.parametrize("n_plus,n_minus", [(4, 2.0), (2.0, 4), (4, 0), (0, 4)])
+@pytest.mark.parametrize("n_plus,n_minus", [(4, 2.0), (2.0, 4), (4, 0), (0, 4), (4, 4.0), (4.0, 4)])
 def test_enclosure_refuses_a_bad_level_before_evaluating_f(counted_exp_xy, n_plus, n_minus):
+    """A float level equal to the other, such as (4, 4.0), is refused too,
+    not sent to the shared pass of equal levels."""
     F, calls = counted_exp_xy
     with pytest.raises(ValueError, match="panel count must be"):
         enclosure(F, UNIT, n_plus, n_minus)
@@ -224,12 +226,14 @@ def test_rule_values_are_python_floats_with_romberg_traces():
 
 
 def test_trace_budget_accounting():
-    # Each Romberg trace's budget is its tolerance 1e-12.  Mid-line rule:
-    # two traces at weight w; edge rule: four at weight w/2.
+    # Each Romberg trace's budget is its tolerance, 1e-12 in the fixed-level
+    # rules.  Mid-line rule: two traces at weight w; edge rule: four at
+    # weight w/2; the enclosure's slack is the larger.
     tol = 1e-12
     w = UNIT.width
     assert s_minus(EXP, UNIT, 2).trace_err_budget == pytest.approx(w * 2 * tol)
     assert s_plus(EXP, UNIT, 2).trace_err_budget == pytest.approx(0.5 * w * 4 * tol)
+    assert enclosure(EXP, UNIT, 2, 4).slack == pytest.approx(w * 2 * tol)
 
 
 def test_enclosure_brackets_reference_both_signs():
