@@ -25,11 +25,32 @@ rules is bounded by their half gap at any single level.  For every rule
 the certified bound is that bound plus the trace budget, and the driver
 stops as soon as it is at most the requested tolerance.
 
+The two rules bracket the integral from opposite sides, so it also lies
+in the enclosure [S_under(2m), S_over(2m)], widened by the larger of the
+two rules' budgets.  When a pair row's own certified bound misses the
+tolerance, the driver reads the other rule at level 2m, which costs no
+call of f on the grid: 2m is even, so the mid-lines are grid lines.  The
+row then reports the intersection of the pair interval and the
+enclosure: S(2m) and the nearer of S(2m) -+ c*gap and the other rule's
+value are its ends, its centre is the row's centre, half its width the
+row's bound, and the larger budget the row's budget.  Where the two do
+not meet, because the rules cross (by rounding when D22 f = 0, or under
+a false declaration), the row keeps its pair interval.  A pair that
+meets the tolerance on its own never reads the other rule.  Each rule's
+traces are integrated once per solve, the first time that rule is read.
+
+A row's bound is widened where rounding needs it, by about an ulp of
+S(2m), so that ``centre -+ (bound + budget)``, evaluated in floats, holds
+the row's interval widened by its budget.  That interval is exact
+arithmetic on the rule values and the float pair bound; the rounding of
+the grid sums themselves is not covered.
+
 Romberg traces are integrated to ``max(tol / (2000 * width), 1e-12)``
-each.  Every rule's trace budget is twice the width times that, so it is
-tol/1000, except where the fixed floor 1e-12 of the fixed-level rules
-makes it larger.  Like theirs, it is Romberg's stopping tolerance: a
-heuristic, not a proven bound.
+each, capped at a finite value where that would overflow.  Every rule's
+trace budget is twice the width times that, so it is tol/1000, except
+where the fixed floor 1e-12 of the fixed-level rules makes it larger.
+Like theirs, it is Romberg's stopping tolerance: a heuristic, not a
+proven bound.
 
 The tolerance picks the levels, one round at a time.  A round of a
 one-sided rule evaluates the pair (m, 2m), skipping m when the last
@@ -66,6 +87,10 @@ _RULES = ("s_minus", "s_plus")
 #: order terms of the error constant and the variation of D22 f.
 _PREDICTION_MARGIN = 1.05
 
+#: Largest per-trace Romberg tolerance of a refinement: four traces of it
+#: still sum to a finite budget.
+_TRACE_TOL_MAX = 2.0**1020
+
 #: First level of every solve: the probe pair is (4, 8), and the mean
 #: starts at 4.
 _N0 = 4
@@ -81,15 +106,21 @@ class RefinementLevel:
     in.  For 's_minus' and 's_plus' that is the one-sided pair interval,
     which reaches the pair bound c * |S(n) - S(n/2)| from S(n) on the
     side the declared sign gives: the bound is half the pair bound, and
-    the centre is S(n) moved by it towards the integral.  For 'mean' the
-    interval lies between the two rules: the bound is half their gap
-    ``0.5 * |S_minus - S_plus|``, and the centre is ``estimate``.  For
-    every rule the certified interval is ``centre`` plus or minus
-    ``aposteriori_bound + trace_budget``, as in the report's
-    ``final_value`` and ``final_bound``.  For the one-sided rules both
-    are set only on a row whose previous row is level n/2, such as the
-    finer row of each pair (m, 2m) the refinement evaluates; every
-    'mean' row carries them.
+    the centre is S(n) moved by it towards the integral.  When that bound
+    plus ``trace_budget`` misses the tolerance, the interval is cut by
+    the enclosure of the two rules at level n: it then reaches from S(n)
+    to the other rule's value S'(n) where that is nearer, the bound is
+    ``0.5 * |S(n) - S'(n)|``, the centre is S(n) moved by it, and
+    ``trace_budget`` is the larger of the two rules' budgets.  The bound
+    is widened by about an ulp of S(n) where rounding needs it (see the
+    module docstring).  For 'mean' the interval lies between the two
+    rules: the bound is half their gap ``0.5 * |S_minus - S_plus|``, and
+    the centre is ``estimate``.  For every rule the certified interval is
+    ``centre`` plus or minus ``aposteriori_bound + trace_budget``, as in
+    the report's ``final_value`` and ``final_bound``.  For the one-sided
+    rules both are set only on a row whose previous row is level n/2,
+    such as the finer row of each pair (m, 2m) the refinement evaluates;
+    every 'mean' row carries them.
     """
 
     n: int
@@ -127,6 +158,46 @@ def _pair_bound(rule: str, n: int, coarse: float, fine: float) -> float:
     return definite_pair_bounds(c, fine, coarse)[0]
 
 
+def _centred(
+    near: float, reach: float, far: Tuple[float, float], overshoots: bool, budget: float
+) -> Tuple[float, float]:
+    """``(bound, centre)`` of the interval from the rule value ``near`` to
+    ``far[0] + far[1]`` (exactly), which lies ``reach`` (rounded) below it
+    when the rule overshoots and above it otherwise.
+
+    The centre is ``near`` moved by half the reach.  The bound is half the
+    reach, widened where rounding needs it, so that ``centre -+ (bound +
+    budget)``, evaluated in floats, reaches the interval's ends moved
+    outward by ``budget``, in exact arithmetic.
+    """
+    bound = 0.5 * reach
+    a, b = far
+    # Minus each end moved outward by the budget, as an exact sum of floats.
+    if overshoots:
+        centre = near - bound
+        minus_lower, minus_upper = (-a, -b, budget), (-near, -budget)
+    else:
+        centre = near + bound
+        minus_lower, minus_upper = (-near, budget), (-a, -b, -budget)
+    r = bound + budget
+    if not math.isfinite(centre + r):
+        return math.inf, centre
+    try:
+        # math.fsum is correctly rounded, so each sign below is exact.
+        while not (
+            math.fsum((centre - r,) + minus_lower) <= 0.0 <= math.fsum((centre + r,) + minus_upper)
+        ):
+            # A step of an ulp of the centre and of r moves both ends by
+            # more than the rounding of the centre and of r, so a few steps
+            # close the gap the rounding left.
+            bound += math.ulp(centre) + math.ulp(r)
+            r = bound + budget
+    except OverflowError:
+        # An end beyond the float range: no finite bound holds it.
+        return math.inf, centre
+    return bound, centre
+
+
 def _predict(n: int, bound: float, budget: float, tol: float, cap: int, even: bool) -> int:
     """Smallest level the n^-2 rate expects to bring ``bound`` under ``tol``.
 
@@ -156,9 +227,9 @@ def _refine(F: Integrand2D, iv: Interval, rule: str, tol: float, max_n: int) -> 
     not above the current one, which happens only at the cap.  The
     mid-line rule, alone or in the mean, gets even levels, whose
     mid-lines are grid lines.  Every level is one call of the function
-    :func:`cubature._levels` returns, so each costs one grid pass (shared
-    by both rules for 'mean') and the trace integrals are computed once
-    per solve.
+    :func:`cubature._levels` returns, so each costs one grid pass, shared
+    by both rules for 'mean' and by the other rule where a missed pair
+    reads it, and each rule's trace integrals are computed once per solve.
     """
     # The side of S(2m) the integral lies on comes from the declaration.
     overshoots = rule == _overshooting_rule(F)
@@ -168,35 +239,47 @@ def _refine(F: Integrand2D, iv: Interval, rule: str, tol: float, max_n: int) -> 
         raise ValueError(f"max_n must allow at least one doubling: need >= {2 * _N0}, got {max_n}")
     pairs = rule != "mean"
     even = rule != "s_plus"
+    other = "s_plus" if rule == "s_minus" else "s_minus"
     cap = max_n // 2 if pairs else max_n
     if even:
         cap -= cap % 2
     # Every rule's trace budget is 2 * width times the per-trace tolerance,
     # so this one spends tol/1000 on the traces, or 2 * width * _TRACE_TOL
-    # where that is more.
-    trace_tol = max(tol / (2000.0 * iv.width), _TRACE_TOL)
-    level = _levels(F, iv, (rule,) if pairs else ("s_plus", "s_minus"), trace_tol)
+    # where that is more.  On a narrow square tol / (2000 * width) can
+    # overflow; _TRACE_TOL_MAX keeps it, and every budget, finite.
+    trace_tol = min(max(tol / (2000.0 * iv.width), _TRACE_TOL), _TRACE_TOL_MAX)
+    level = _levels(F, iv, trace_tol)
     levels: List[RefinementLevel] = []
     m = _N0
     while True:
         for n in (m, 2 * m) if pairs else (m,):
             if levels and levels[-1].n == n:
                 continue
-            values = level(n)
+            value = level(n)
             diff = bound = centre = None
             if rule == "mean":
-                lo, hi = values["s_plus"], values["s_minus"]
+                lo, hi = value("s_plus"), value("s_minus")
                 estimate = centre = 0.5 * (lo.value + hi.value)
                 budget = max(lo.trace_err_budget, hi.trace_err_budget)
                 bound = 0.5 * abs(hi.value - lo.value)
             else:
-                estimate, budget = values[rule].value, values[rule].trace_err_budget
+                own = value(rule)
+                estimate, budget = own.value, own.trace_err_budget
             if levels:
                 prev = levels[-1]
                 diff = estimate - prev.estimate
                 if pairs and 2 * prev.n == n:
-                    bound = 0.5 * _pair_bound(rule, prev.n, prev.estimate, estimate)
-                    centre = estimate - bound if overshoots else estimate + bound
+                    reach = _pair_bound(rule, prev.n, prev.estimate, estimate)
+                    far = (estimate, -reach if overshoots else reach)
+                    if 0.5 * reach + budget > tol:
+                        # The other rule at this level closes the enclosure;
+                        # the integral lies in both intervals.
+                        o = value(other)
+                        gap = estimate - o.value if overshoots else o.value - estimate
+                        if 0.0 <= gap < reach:
+                            reach, far = gap, (o.value, 0.0)
+                            budget = max(budget, o.trace_err_budget)
+                    bound, centre = _centred(estimate, reach, far, overshoots, budget)
             levels.append(
                 RefinementLevel(
                     n=n,
@@ -231,17 +314,21 @@ def refine(
     's_minus', at most max_n/2) and runs m' and 2*m', predicting again
     while a pair falls short.  B is c * gap / 2, half the width of the
     interval the pair (m, 2m) and the declared sign put the integral in,
-    trace budget aside (see the module docstring).  It stops at the
+    trace budget aside (see the module docstring).  When B plus the trace
+    budget misses ``tol``, the other rule at level 2m is read too, and B
+    becomes half the width of that interval cut by the enclosure of the
+    two rules, which is what the next prediction reads.  It stops at the
     first pair whose certified bound, B plus the trace budget, is at
-    most ``tol``, and reports the interval's centre as ``final_value``.  A tolerance at or below the
-    trace budget sends it straight to the cap pair, and it ends with
-    'max_n_reached' once the cap pair misses ``tol`` (the report still
-    carries the best value and bound).  Only a row whose previous row is
-    its half level, such as the finer row of each pair, carries
-    ``aposteriori_bound`` and ``centre``.  Romberg traces are integrated
-    to ``max(tol / (2000 * width), 1e-12)`` each, which makes the trace
-    budget tol/1000 where the floor does not bind; ``tol`` must be finite
-    and positive.
+    most ``tol``, and reports the interval's centre as ``final_value``.
+    A tolerance at or below the trace budget sends it straight to the cap
+    pair, and it ends with 'max_n_reached' once the cap pair misses
+    ``tol`` (the report still carries the best value and bound).  Only a
+    row whose previous row is its half level, such as the finer row of
+    each pair, carries ``aposteriori_bound`` and ``centre``.  Romberg
+    traces are integrated to ``max(tol / (2000 * width), 1e-12)`` each,
+    which makes the trace budget tol/1000 where the floor does not bind;
+    the other rule's traces only if a pair misses ``tol``.  ``tol`` must
+    be finite and positive.
 
     The integrand must declare its mixed-derivative sign, since the
     bounds only hold for one-signed derivatives.

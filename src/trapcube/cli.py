@@ -228,10 +228,10 @@ def table_rows(fn_id: str, n_list: Sequence[int]) -> Tuple[ReferenceValue, List[
             raise ValueError(f"levels must be in 1..{_MAX_TABLE_LEVEL}, got {n}")
     reference = builtin.reference()
     ns = sorted(set(n_list) | {2 * n for n in n_list})
-    level = _levels(F, iv, ("s_minus", "s_plus"))
+    level = _levels(F, iv)
     values = {n: level(n) for n in ns}
-    minus = {n: level["s_minus"].value for n, level in values.items()}
-    plus = {n: level["s_plus"].value for n, level in values.items()}
+    minus = {n: value("s_minus").value for n, value in values.items()}
+    plus = {n: value("s_plus").value for n, value in values.items()}
     rows = [
         TableRow(
             n=n,

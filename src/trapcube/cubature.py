@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .univariate import _SIGNS, Interval, _integer, apply, trace_integral, trapezium_rule
 
@@ -476,25 +476,29 @@ def _combine(
 
 
 def _levels(
-    F: Integrand2D, iv: Interval, rules: Sequence[str], trace_tol: float = _TRACE_TOL
-) -> Callable[[int], Dict[str, CubatureEstimate]]:
-    """A function ``level(n) -> {rule: estimate}`` for the given rules.
+    F: Integrand2D, iv: Interval, trace_tol: float = _TRACE_TOL
+) -> Callable[[int], Callable[[str], CubatureEstimate]]:
+    """A function ``level(n) -> value``, where ``value(rule)`` is the
+    estimate of a one-sided rule at level n.
 
-    Each call costs one grid pass, which serves every rule.  The trace
-    integrals do not depend on the level, so the traces the rules need
-    are integrated once, right after the first pass, Romberg traces to
-    ``trace_tol``.  A refinement (:func:`adaptive._refine`) calls it once
-    per level of each round, so a solve that stops early pays for no
-    further pass.
+    Each call of ``level`` costs one grid pass, which serves both rules.
+    The trace integrals do not depend on the level, so each rule's traces
+    are integrated the first time any level is read for that rule, Romberg
+    traces to ``trace_tol``, and a rule that is never read pays for none.
+    A refinement (:func:`adaptive._refine`) calls ``level`` once per level
+    of each round, so a solve that stops early pays for no further pass.
     """
-    traces: Dict[str, Tuple[float, float]] = {}
+    traces: Dict[str, Dict[str, Tuple[float, float]]] = {}
 
-    def level(n: int) -> Dict[str, CubatureEstimate]:
+    def level(n: int) -> Callable[[str], CubatureEstimate]:
         grid = _grid_pass(F, iv, n)
-        if not traces:
-            needed = [tid for tid in _TRACE_LINES for r in rules if tid in _RULE_TRACES[r]]
-            traces.update(_trace_integrals(F, iv, needed, trace_tol))
-        return {rule: _combine(rule, F, iv, grid, traces) for rule in rules}
+
+        def value(rule: str) -> CubatureEstimate:
+            if rule not in traces:
+                traces[rule] = _trace_integrals(F, iv, _RULE_TRACES[rule], trace_tol)
+            return _combine(rule, F, iv, grid, traces[rule])
+
+        return value
 
     return level
 
@@ -538,7 +542,7 @@ def s_minus(F: Integrand2D, iv: Interval, n: int) -> CubatureEstimate:
     an upper bound for the true integral (a lower bound when
     ``D22 f <= 0``).
     """
-    return _levels(F, iv, ("s_minus",))(n)["s_minus"]
+    return _levels(F, iv)(n)("s_minus")
 
 
 def s_plus(F: Integrand2D, iv: Interval, n: int) -> CubatureEstimate:
@@ -553,7 +557,7 @@ def s_plus(F: Integrand2D, iv: Interval, n: int) -> CubatureEstimate:
     On integrands with ``D22 f >= 0`` the result is a lower bound for
     the true integral (an upper bound when ``D22 f <= 0``).
     """
-    return _levels(F, iv, ("s_plus",))(n)["s_plus"]
+    return _levels(F, iv)(n)("s_plus")
 
 
 def error_constant(rule: str, iv: Interval, n: int) -> float:
@@ -589,14 +593,14 @@ def enclosure(F: Integrand2D, iv: Interval, n_plus: int, n_minus: int) -> Enclos
     over = _overshooting_rule(F)
     # A float level equal to the other would otherwise take the shared pass.
     if _integer(n_plus, "panel count") == _integer(n_minus, "panel count"):
-        values = _levels(F, iv, ("s_plus", "s_minus"))(n_plus)
+        value = _levels(F, iv)(n_plus)
+        plus, minus = value("s_plus"), value("s_minus")
     else:
         # Refuse a bad level before either grid pass.
         for n in (n_plus, n_minus):
             trapezium_rule(iv, n)
-        values = {"s_plus": s_plus(F, iv, n_plus), "s_minus": s_minus(F, iv, n_minus)}
-    high = values.pop(over)
-    (low,) = values.values()
+        plus, minus = s_plus(F, iv, n_plus), s_minus(F, iv, n_minus)
+    high, low = (minus, plus) if over == "s_minus" else (plus, minus)
     slack = max(low.trace_err_budget, high.trace_err_budget)
     return Enclosure(
         lower=low.value - slack,

@@ -1,7 +1,9 @@
 """Tests for the refinement driver, its predicted levels and its
 certified stopping bounds."""
+import dataclasses
 import math
 import sys
+from fractions import Fraction
 
 import pytest
 import numpy as np
@@ -50,23 +52,74 @@ def _half_level_pairs(report):
     return pairs
 
 
-def test_refine_bound_columns_minus():
-    report = refine(EXP, UNIT, "s_minus", tol=1e-5)
+def _reach(rule, prev, lv, other, overshoots):
+    """How far from S(2m) the row's interval reaches, as refine rounds it,
+    and whether the other rule's value ``other`` at 2m ends it.
+
+    The pair bound c * |S(2m) - S(m)| reaches from S(2m) towards the
+    integral; where the enclosure [S_under(2m), S_over(2m)] ends closer,
+    the intersection ends at the other rule's value.
+    """
+    c = 1.0 if rule == "s_minus" else (4.0 * prev.n - 1.0) / (4.0 * prev.n - 3.0)
+    pair = c * abs(lv.estimate - prev.estimate)
+    if other is None:
+        return pair, False
+    gap = lv.estimate - other if overshoots else other - lv.estimate
+    return (gap, True) if 0.0 <= gap < pair else (pair, False)
+
+
+def _assert_covers(lv, lower, upper, ulps=4):
+    """``centre -+ (aposteriori_bound + trace_budget)``, evaluated in floats,
+    holds [lower - budget, upper + budget] exactly and passes its ends by at
+    most ``ulps`` ulps of the rule value: the rounding of the centre."""
+    r = lv.aposteriori_bound + lv.trace_budget
+    low, high = Fraction(lv.centre - r), Fraction(lv.centre + r)
+    budget, slack = Fraction(lv.trace_budget), ulps * Fraction(math.ulp(lv.estimate))
+    assert low <= lower - budget <= low + slack, (lv, lower)
+    assert high - slack <= upper + budget <= high, (lv, upper)
+
+
+def _assert_bound_columns(F, rule, tol):
+    """Every pair row reports the interval its pair bound and the declared
+    sign give, or, when that bound plus the trace budget misses tol, that
+    interval cut by the enclosure at the same level, with both rules at the
+    solve's trace tolerance; the centre is S(2m) moved by half the reach.
+    Returns whether some row was cut."""
+    overshoots = _overshoots(rule, F.d22_sign)
+    other = "s_plus" if rule == "s_minus" else "s_minus"
+    level = cubature._levels(F, UNIT, tol / 2000)
+    report = refine(F, UNIT, rule, tol)
     for prev, lv in zip(report.levels, report.levels[1:]):
         assert lv.diff_to_previous == lv.estimate - prev.estimate
+    cut = False
     for prev, lv in _half_level_pairs(report):
-        diff = lv.estimate - prev.estimate
-        assert lv.aposteriori_bound == 0.5 * abs(diff)
-        # The mid-line rule overshoots a nonnegative D22: the centre is below.
-        assert lv.centre == lv.estimate - lv.aposteriori_bound
+        value = level(lv.n)
+        assert value(rule).value == lv.estimate
+        pair, _ = _reach(rule, prev, lv, None, overshoots)
+        o = None if 0.5 * pair + lv.trace_budget <= tol else value(other)
+        reach, ends_at_other = _reach(rule, prev, lv, None if o is None else o.value, overshoots)
+        cut |= ends_at_other
+        half = 0.5 * reach
+        assert lv.centre == (lv.estimate - half if overshoots else lv.estimate + half)
+        s = Fraction(lv.estimate)
+        if ends_at_other:
+            far = Fraction(o.value)
+        else:
+            far = s - Fraction(reach) if overshoots else s + Fraction(reach)
+        _assert_covers(lv, *sorted((s, far)))
+        assert lv.trace_budget == max(value(rule).trace_err_budget, o.trace_err_budget if ends_at_other else 0.0)
+    return cut
+
+
+def test_refine_bound_columns_minus():
+    """The mid-line rule overshoots a nonnegative D22: the centre is below
+    S(2m).  The probe pair (4, 8) misses 1e-5, and the enclosure at 8 cuts
+    its interval."""
+    assert _assert_bound_columns(EXP, "s_minus", 1e-5)
 
 
 def test_refine_bound_columns_plus_carry_the_level_factor():
-    report = refine(EXP, UNIT, "s_plus", tol=1e-5)
-    for prev, lv in _half_level_pairs(report):
-        factor = (4.0 * prev.n - 1.0) / (4.0 * prev.n - 3.0)
-        assert lv.aposteriori_bound == pytest.approx(0.5 * factor * abs(lv.diff_to_previous), rel=1e-15)
-        assert lv.centre == lv.estimate + lv.aposteriori_bound
+    assert _assert_bound_columns(EXP, "s_plus", 1e-5)
 
 
 @pytest.mark.parametrize("F,ref,rule", [
@@ -204,18 +257,24 @@ def test_definite_pair_bounds_validation():
 
 
 def test_definite_pair_bounds_reproduce_the_refine_bounds():
-    """refine's bounds are half the definite-pair bounds with the rule's
-    comparison constant: 1 for mid-line, (4n-1)/(4n-3) for edge."""
+    """Where a pair meets tol on its own, refine's centre is S(2m) moved by
+    half the definite-pair bound with the rule's comparison constant: 1 for
+    mid-line, (4n-1)/(4n-3) for edge.  The bound is that half, widened by
+    the rounding of the centre."""
     report = refine(EXP, UNIT, "s_minus", tol=1e-5)
     lv_prev, lv = report.levels[-2], report.levels[-1]
     tight, _ = definite_pair_bounds(1.0, lv.estimate, lv_prev.estimate)
-    assert 0.5 * tight == lv.aposteriori_bound
+    assert lv.centre == lv.estimate - 0.5 * tight
+    assert 0.5 * tight <= lv.aposteriori_bound <= 0.5 * tight + 2 * math.ulp(lv.estimate)
 
-    report_p = refine(EXP, UNIT, "s_plus", tol=1e-5)
-    lv_prev, lv = report_p.levels[-2], report_p.levels[-1]
+    report_p = refine(EXP, UNIT, "s_plus", tol=1e-2)
+    assert [lv.n for lv in report_p.levels] == [4, 8]
+    lv_prev, lv = report_p.levels
     c = (4.0 * lv_prev.n - 1.0) / (4.0 * lv_prev.n - 3.0)
     tight_p, _ = definite_pair_bounds(c, lv.estimate, lv_prev.estimate)
-    assert 0.5 * tight_p == lv.aposteriori_bound
+    assert 0.5 * tight_p + lv.trace_budget <= 1e-2
+    assert lv.centre == lv.estimate + 0.5 * tight_p
+    assert 0.5 * tight_p <= lv.aposteriori_bound <= 0.5 * tight_p + 2 * math.ulp(lv.estimate)
 
 
 @pytest.mark.parametrize("rule", ["s_minus", "s_plus", "mean"])
@@ -235,15 +294,18 @@ def test_final_value_and_bound_are_the_last_rows(F, rule):
 
 def test_table_columns_are_the_refinement_pair_bounds():
     """`trapcube table` and `refine` take their pair bounds from one place:
-    the table prints half the mid-line pair bound, which is refine's
-    bound, and the whole edge pair bound, which is twice refine's."""
+    the table prints half the mid-line pair bound, by which refine's centre
+    moves from S(8), and the whole edge pair bound, twice that move.  At
+    tol 1 both pairs meet tol on their own."""
     _, rows = table_rows("exp_xy", [4])
     F = BUILTINS["exp_xy"].integrand
     minus = refine(F, UNIT, "s_minus", tol=1.0).levels[1]
     plus = refine(F, UNIT, "s_plus", tol=1.0).levels[1]
     assert minus.n == plus.n == 8
-    assert rows[0].half_diff_minus == minus.aposteriori_bound
-    assert rows[0].bound_plus == 2 * plus.aposteriori_bound
+    assert minus.centre == minus.estimate - rows[0].half_diff_minus
+    assert plus.centre == plus.estimate + 0.5 * rows[0].bound_plus
+    for lv, half in ((minus, rows[0].half_diff_minus), (plus, 0.5 * rows[0].bound_plus)):
+        assert half <= lv.aposteriori_bound <= half + 2 * math.ulp(lv.estimate)
 
 
 def test_refine_evaluates_each_level_grid_once_with_exact_traces(counted_exp_xy):
@@ -268,24 +330,53 @@ def test_refine_evaluates_each_level_grid_once_with_exact_traces(counted_exp_xy)
         assert calls[0] == sum((lv.n + 1) ** 2 for lv in report.levels)
 
 
-@pytest.mark.parametrize("rule,traces", [("s_minus", 2), ("s_plus", 4), ("mean", 6)])
-def test_refine_integrates_each_trace_once_per_solve(monkeypatch, rule, traces):
-    """Romberg traces do not depend on the level, so a solve over several
-    levels integrates each of its traces exactly once."""
-    calls = []
-    romberg = cubature.trace_integral
+def _traces_integrated(monkeypatch, solve):
+    """The trace ids a solve integrates, in order, and the count of
+    ``trace_integral`` calls it makes."""
+    ids, calls = [], []
+    integrate, romberg = cubature._trace_integrals, cubature.trace_integral
+
+    def spy(F, iv, trace_ids, tol):
+        ids.extend(trace_ids)
+        return integrate(F, iv, trace_ids, tol)
 
     def counted(g, iv, exact=None, tol=1e-12):
-        calls.append(1)
+        calls.append(tol)
         return romberg(g, iv, exact=exact, tol=tol)
 
-    monkeypatch.setattr(cubature, "trace_integral", counted)
-    if rule == "mean":
-        report = refine_mean(EXP, UNIT, tol=1e-6)
-    else:
-        report = refine(EXP, UNIT, rule, tol=1e-6)
+    with monkeypatch.context() as mp:
+        mp.setattr(cubature, "_trace_integrals", spy)
+        mp.setattr(cubature, "trace_integral", counted)
+        report = solve()
+    return report, ids, calls
+
+
+_EDGES = ["left", "right", "down", "up"]
+_MIDS = ["vertical-mid", "horizontal-mid"]
+
+
+@pytest.mark.parametrize("rule,traces", [
+    ("s_minus", _MIDS + _EDGES), ("s_plus", _EDGES + _MIDS), ("mean", _EDGES + _MIDS),
+])
+def test_refine_integrates_each_trace_once_per_solve(monkeypatch, rule, traces):
+    """Romberg traces do not depend on the level, so a solve over several
+    levels integrates each of its traces at most once, at the solve's tied
+    tolerance.  At 1e-6 the probe pair misses tol, so a one-sided solve
+    also reads the other rule, whose traces come after its own."""
+    report, ids, calls = _traces_integrated(monkeypatch, lambda: _solve(EXP, UNIT, rule, 1e-6))
     assert len(report.levels) >= 2
-    assert len(calls) == traces
+    assert ids == traces
+    assert calls == [1e-6 / 2000] * 6
+
+
+@pytest.mark.parametrize("rule,traces", [("s_minus", _MIDS), ("s_plus", _EDGES)])
+def test_a_pair_that_meets_tol_integrates_only_its_own_traces(monkeypatch, rule, traces):
+    """The other rule is read only when a pair misses tol: a solve that
+    meets it at (4, 8) integrates the traces of its own rule alone."""
+    report, ids, calls = _traces_integrated(monkeypatch, lambda: refine(EXP, UNIT, rule, 1e-2))
+    assert [lv.n for lv in report.levels] == [4, 8]
+    assert ids == traces
+    assert len(calls) == len(traces)
 
 
 def test_non_finite_exact_traces_are_refused():
@@ -330,7 +421,7 @@ def test_a_tolerance_at_the_floor_keeps_the_fixed_trace_tolerance(monkeypatch, i
     tied = _solve(EXP, iv, rule, tol, max_n=64)
     # The fixed tolerance is the default of the fixed-level rules.
     levels = cubature._levels
-    monkeypatch.setattr(adaptive, "_levels", lambda F, iv, rules, trace_tol: levels(F, iv, rules))
+    monkeypatch.setattr(adaptive, "_levels", lambda F, iv, trace_tol: levels(F, iv))
     fixed = _solve(EXP, iv, rule, tol, max_n=64)
     assert repr(tied) == repr(fixed)
     assert all(lv.trace_budget == pytest.approx(2 * iv.width * 1e-12, rel=1e-14) for lv in tied.levels)
@@ -362,8 +453,12 @@ def test_tied_trace_tolerance_holds_on_small_exp_squares(k, a, w, log_rtol):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cubature, "_trace_integrals", spy)
         refine_mean(F, iv, tol, max_n=64)
-    ((trace_tol, traces),) = seen
+    # The edges when s_plus is first read, then the mid-lines.
+    assert len(seen) == 2
+    (trace_tol, _), _ = seen
     assert trace_tol == max(tol / (2000 * iv.width), 1e-12)
+    assert all(t == trace_tol for t, _ in seen)
+    traces = {**seen[0][1], **seen[1][1]}
     assert len(traces) == 6
     for tid, (value, budget) in traces.items():
         x = k * cubature._TRACE_LINES[tid][1](iv)
@@ -471,11 +566,12 @@ def test_predicted_levels_count_only_grid_points_off_the_unit_square(counted_exp
 
 def test_predicted_levels_evaluate_fewer_points_than_doubling(counted_exp_xy):
     """Doubling from level 4 would stop at the first power-of-two pair
-    whose half difference meets tol, (128, 256) here, after 88,399 points."""
+    whose half difference meets tol, (128, 256) here, after 88,399 points.
+    The probe pair's interval, cut by the enclosure at 8, predicts 112."""
     F, calls = counted_exp_xy
     report = refine(F, UNIT, "s_minus", 1e-6, max_n=4096)
-    assert [lv.n for lv in report.levels] == [4, 8, 116, 232]
-    assert calls[0] == 68_084
+    assert [lv.n for lv in report.levels] == [4, 8, 112, 224]
+    assert calls[0] == 63_500
     ns = [4]
     values = [s_minus(F, UNIT, 4).value]
     while len(values) < 2 or 0.5 * abs(values[-1] - values[-2]) > 1e-6:
@@ -513,20 +609,21 @@ def test_predicted_levels_cap_an_unmet_tolerance_with_exact_traces():
     assert [lv.n for lv in report.levels] == [4, 8, 10, 20]
 
 
-@pytest.mark.parametrize("rule,levels", [
-    ("s_plus", [4, 8, 132, 264, 158, 316]),
-    ("mean", [4, 166, 192]),
+@pytest.mark.parametrize("rule,c,rtol,levels", [
+    ("s_plus", 30.0, 1e-1, [4, 8, 51, 102, 56, 112]),
+    ("mean", 20.0, 1e-2, [4, 166, 192]),
 ])
-def test_a_short_prediction_predicts_again(rule, levels):
-    """On exp(20(x+y)) the coarse levels are far from the n^-2 regime, so
-    the first prediction falls short and the next one is made from it."""
-    c = 20.0
+def test_a_short_prediction_predicts_again(rule, c, rtol, levels):
+    """On exp(c(x+y)) the coarse levels are far from the n^-2 regime, so
+    the first prediction falls short and the next one is made from it.
+    (s_plus on exp(20(x+y)) at 1e-2 now meets tol at its first predicted
+    pair, 92 and 184, whose interval the enclosure cuts.)"""
     F = Integrand2D(f=lambda x, y: np.exp(c * (x + y)), d22_sign="nonnegative", vectorized=True)
     exact = ((math.exp(c) - 1.0) / c) ** 2
-    report = _solve(F, UNIT, rule, 1e-2 * exact, max_n=4096)
+    report = _solve(F, UNIT, rule, rtol * exact, max_n=4096)
     assert [lv.n for lv in report.levels] == levels
     assert report.termination == "tolerance_met"
-    assert report.final_bound <= 1e-2 * exact
+    assert report.final_bound <= rtol * exact
     assert abs(report.final_value - exact) <= report.final_bound
     _assert_pair_rows(report)
 
@@ -591,3 +688,190 @@ def test_centred_interval_certifies_small_exp_squares(rule, k, a, w, log_rtol):
         assert s + budget + margin >= ref
     else:
         assert s - budget - margin <= ref
+
+
+# --------------------------------------------------------------------------
+# A missed pair cut by the enclosure at the same level.
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
+@pytest.mark.parametrize("rule", ["s_minus", "s_plus"])
+@pytest.mark.parametrize("fn_id", ["exp_xy", "sin_xy"])
+def test_a_missed_pair_reports_its_intersection_with_the_enclosure(fn_id, rule, tol):
+    """Each pair row, recomputed from the pair and from s_plus and s_minus
+    at its level: where the pair alone misses tol, the row is the
+    intersection of the pair interval and the enclosure, which lies in
+    both, and every row holds the series reference."""
+    builtin = BUILTINS[fn_id]
+    F = builtin.integrand
+    overshoots = _overshoots(rule, F.d22_sign)
+    reference = Fraction(builtin.reference().value)
+    report = refine(F, UNIT, rule, tol, max_n=4096)
+    assert report.termination == "tolerance_met"
+    for prev, lv in _half_level_pairs(report):
+        s = Fraction(lv.estimate)
+        pair, _ = _reach(rule, prev, lv, None, overshoots)
+        pair_ends = sorted((s, s - Fraction(pair) if overshoots else s + Fraction(pair)))
+        enc = enclosure(F, UNIT, lv.n, lv.n)
+        assert enc.slack == lv.trace_budget == 0.0
+        rule_value = (s_minus if rule == "s_minus" else s_plus)(F, UNIT, lv.n).value
+        assert rule_value == lv.estimate
+        if 0.5 * pair <= tol:
+            lower, upper = pair_ends
+            assert lv.centre == (lv.estimate - 0.5 * pair if overshoots else lv.estimate + 0.5 * pair)
+        else:
+            lower = max(pair_ends[0], Fraction(enc.lower))
+            upper = min(pair_ends[1], Fraction(enc.upper))
+            assert lower <= upper
+            other = enc.lower if overshoots else enc.upper
+            reach, _ = _reach(rule, prev, lv, other, overshoots)
+            assert lv.centre == (lv.estimate - 0.5 * reach if overshoots else lv.estimate + 0.5 * reach)
+        _assert_covers(lv, lower, upper)
+        r = lv.aposteriori_bound + lv.trace_budget
+        low, high = Fraction(lv.centre - r), Fraction(lv.centre + r)
+        if 0.5 * pair > tol:
+            # Inside both intervals, but for the rounding of the centre.
+            slack = 4 * Fraction(math.ulp(lv.estimate))
+            for a, b in (pair_ends, (Fraction(enc.lower), Fraction(enc.upper))):
+                assert a - slack <= low and high <= b + slack
+        assert low <= reference <= high
+
+
+@pytest.mark.parametrize("rule", ["s_minus", "s_plus"])
+def test_the_enclosure_cuts_the_interval_the_prediction_reads(rule):
+    """The probe pair of exp_xy at 1e-6 misses tol for both rules, and the
+    enclosure at 8 is tighter than either pair interval: the row's bound is
+    half the gap between the rules, which the next prediction reads."""
+    F = BUILTINS["exp_xy"].integrand
+    report = refine(F, UNIT, rule, 1e-6, max_n=4096)
+    probe = report.levels[1]
+    assert probe.n == 8
+    enc = enclosure(F, UNIT, 8, 8)
+    half_gap = 0.5 * (enc.upper - enc.lower)
+    assert half_gap <= probe.aposteriori_bound <= half_gap + 2 * math.ulp(probe.estimate)
+    assert [lv.n for lv in report.levels] == ([4, 8, 112, 224] if rule == "s_minus" else [4, 8, 111, 222])
+
+
+@pytest.mark.parametrize("rule,tol", [("s_minus", 1e-5), ("s_plus", 1e-5), ("s_plus", 1e-7)])
+def test_the_other_rule_adds_no_grid_evaluation(counted_exp_xy, rule, tol):
+    """Pair rows are at even levels, where the mid-lines are grid lines, so
+    reading the other rule there costs no call of f: a counted exact-trace
+    solve calls f exactly once per grid point of its levels."""
+    F, calls = counted_exp_xy
+    report = refine(F, UNIT, rule, tol, max_n=4096)
+    assert report.termination == "tolerance_met"
+    assert calls[0] == sum((lv.n + 1) ** 2 for lv in report.levels)
+    # The probe pair missed tol, so the other rule was read.
+    assert 0.5 * abs(report.levels[1].diff_to_previous) > tol
+
+
+def _recorded(F):
+    """F with exact traces that record the axis of each call."""
+    seen = []
+
+    def recording(axis, g):
+        def line(c, iv):
+            seen.append(axis)
+            return g(c, iv)
+        return line
+
+    g_x, g_y = F.exact_traces
+    return Integrand2D(F.f, F.d22_sign, (recording("x", g_x), recording("y", g_y))), seen
+
+
+@pytest.mark.parametrize("sign", ["nonnegative", "nonpositive"])
+@pytest.mark.parametrize("rule", ["s_minus", "s_plus"])
+def test_an_exact_pair_on_bilinear_needs_no_enclosure(rule, sign):
+    """D22 bilinear_xy = 0, so either declaration holds and S(4) = S(8): on
+    [0.1, 0.7] at tol 1e-9 the pair bound is 0 and meets tol, and the other
+    rule, whose enclosure is empty by rounding under one of the two
+    declarations, is not read."""
+    F, seen = _recorded(dataclasses.replace(BUILTINS["bilinear_xy"].integrand, d22_sign=sign))
+    iv = Interval(0.1, 0.7)
+    report = refine(F, iv, rule, 1e-9)
+    assert report.termination == "tolerance_met"
+    (first, last) = report.levels
+    assert (first.n, last.n) == (4, 8)
+    assert last.estimate == first.estimate
+    assert (last.aposteriori_bound, last.centre) == (0.0, last.estimate)
+    assert len(seen) == (2 if rule == "s_minus" else 4)
+
+
+@pytest.mark.parametrize("F,iv", [
+    # bilinear_xy: S(8) is 1 ulp below S(4), and s_plus(8) 2 ulps above
+    # s_minus(8), by rounding alone.
+    (BUILTINS["bilinear_xy"].integrand, Interval(0.134, 0.989)),
+    # exp(xy) declared nonpositive, which is false: the rules cross.
+    (dataclasses.replace(BUILTINS["exp_xy"].integrand, d22_sign="nonpositive"), UNIT),
+])
+def test_an_empty_intersection_keeps_the_pair_row(F, iv):
+    """When the other rule lies on the wrong side of S(2m), the pair
+    interval and the enclosure do not meet: the row keeps its pair
+    interval, the solve goes on to the cap, and the other rule was read."""
+    F, seen = _recorded(F)
+    report = refine(F, iv, "s_minus", 1e-30, max_n=16)
+    assert report.termination == "max_n_reached"
+    assert [lv.n for lv in report.levels] == [4, 8, 16]
+    overshoots = F.d22_sign == "nonnegative"
+    for prev, lv in _half_level_pairs(report):
+        t = s_plus(F, iv, lv.n).value
+        assert (t > lv.estimate) if overshoots else (t < lv.estimate)
+        pair, _ = _reach("s_minus", prev, lv, None, overshoots)
+        assert pair > 0.0
+        assert lv.centre == (lv.estimate - 0.5 * pair if overshoots else lv.estimate + 0.5 * pair)
+        s = Fraction(lv.estimate)
+        _assert_covers(lv, *sorted((s, s - Fraction(pair) if overshoots else s + Fraction(pair))))
+    assert sorted(seen[:6]) == ["x", "x", "x", "y", "y", "y"]
+
+
+# --------------------------------------------------------------------------
+# Rounding and overflow at the edges of the float range.
+
+
+def test_a_huge_tolerance_on_a_tiny_square_keeps_a_finite_trace_tolerance():
+    """tol / (2000 * width) overflows to inf here; the per-trace tolerance
+    is capped, so the budget stays finite and the probe pair meets tol."""
+    F = Integrand2D(lambda x, y: math.exp(x * y), "nonnegative")
+    iv = Interval(0.0, 1e-300)
+    assert 1e12 / (2000.0 * iv.width) == math.inf
+    for rule in ("s_minus", "s_plus"):
+        report = refine(F, iv, rule, tol=1e12, max_n=16)
+        assert report.termination == "tolerance_met"
+        assert [lv.n for lv in report.levels] == [4, 8]
+        assert 0.0 < report.final_bound <= 1e12
+    report = refine_mean(F, iv, tol=1e12, max_n=16)
+    assert report.termination == "tolerance_met"
+    assert math.isfinite(report.final_bound)
+
+
+@pytest.mark.parametrize("fn_id,rule,tol", [
+    ("sin_xy", "s_minus", 1e-3), ("exp_xy", "s_minus", 1e-7), ("sin_xy", "s_minus", 1e-5), ("exp_xy", "s_plus", 1e-5),
+])
+def test_the_reported_interval_reaches_the_rule_value_in_floats(fn_id, rule, tol):
+    """``centre -+ (aposteriori_bound + trace_budget)``, as a user evaluates
+    it, holds S(2m), the end the declared sign gives, on every pair row.
+    Centred without widening, the first two cases round it out: the pair
+    (4, 8) of the first and the last pair of the second."""
+    F = BUILTINS[fn_id].integrand
+    report = refine(F, UNIT, rule, tol, max_n=4096)
+    s = report.levels[-1].estimate
+    assert report.final_value - report.final_bound <= s <= report.final_value + report.final_bound
+    for _, lv in _half_level_pairs(report):
+        r = lv.aposteriori_bound + lv.trace_budget
+        assert lv.centre - r <= lv.estimate <= lv.centre + r
+
+
+def test_the_centred_pair_interval_is_widened_to_reach_its_ends():
+    """The pair (22, 44) of sin_xy's mid-line rule, which undershoots: the
+    centre S(44) + P/2 rounds up, so ``centre - P/2`` was 2.8e-17 above
+    S(44).  The widened bound reaches S(44) and S(44) + P in floats."""
+    F = BUILTINS["sin_xy"].integrand
+    coarse, fine = s_minus(F, UNIT, 22).value, s_minus(F, UNIT, 44).value
+    pair = abs(fine - coarse)
+    centre = fine + 0.5 * pair
+    assert centre - 0.5 * pair - fine == pytest.approx(2.8e-17, rel=0.01)
+    bound, got = adaptive._centred(fine, pair, (fine, pair), False, 0.0)
+    assert got == centre
+    assert 0.5 * pair < bound <= 0.5 * pair + 2 * math.ulp(fine)
+    assert Fraction(centre - bound) <= Fraction(fine)
+    assert Fraction(centre + bound) >= Fraction(fine) + Fraction(pair)
