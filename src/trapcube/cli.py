@@ -191,9 +191,9 @@ _MAX_TABLE_LEVEL = 1024
 #: sends the refinement straight to the pair (max-n/2, max-n).
 _MAX_INTEGRATE_LEVEL = 16384
 
-#: Largest ``scan --resolution`` and ``--n``.  A scan evaluates
-#: (resolution + 1)^2 points: 2.8 s at resolution 16384 on a 2-vCPU Xeon
-#: VM, so about 45 s at the cap.
+#: Largest ``scan --resolution`` and ``--n``.  A scan evaluates about
+#: half of the (resolution + 1)^2 points: phi_plus took 1.1-1.3 s at
+#: resolution 16384 on a 2-vCPU Xeon VM, so about 20 s at the cap.
 _MAX_SCAN_RESOLUTION = 65536
 
 

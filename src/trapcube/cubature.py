@@ -443,7 +443,11 @@ def _trace_integrals(
     for tid in trace_ids:
         axis, coordinate_of = _TRACE_LINES[tid]
         exact = None if F.exact_traces is None else functools.partial(F.exact_traces[axis], coordinate_of(iv))
-        out[tid] = trace_integral(_trace_function(F.f, tid, iv), iv, exact=exact, tol=tol)
+        try:
+            out[tid] = trace_integral(_trace_function(F.f, tid, iv), iv, exact=exact, tol=tol)
+        except OverflowError as e:
+            line = f"{'xy'[axis]} = {coordinate_of(iv)!r}"
+            raise ValueError(f"the {tid} trace integral, on the line {line}, failed: {e}") from None
     return out
 
 

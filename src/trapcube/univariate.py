@@ -209,12 +209,17 @@ def peano_kernel(rule: QuadratureRule, t: float) -> float:
 _MAX_ROMBERG_LEVELS = 24
 
 
+def _romberg_overflow(iv: Interval) -> OverflowError:
+    return OverflowError(f"Romberg sums overflow the float range on [{iv.a!r}, {iv.b!r}]")
+
+
 def _romberg(g: Callable[[float], float], iv: Interval, tol: float) -> float:
     """Romberg value of the integral of g over iv to absolute tolerance tol.
 
     Classic scheme: trapezium refinements by halving plus Richardson
     extrapolation in h^2.  Convergence is declared when two successive
-    diagonal entries differ by at most tol.
+    diagonal entries differ by at most tol.  Raises OverflowError, naming
+    iv, when a sum or an extrapolation leaves the float range.
     """
     a, b = iv.a, iv.b
     h = b - a
@@ -234,9 +239,17 @@ def _romberg(g: Callable[[float], float], iv: Interval, tol: float) -> float:
             if not math.isfinite(v):
                 raise ValueError(f"integrand returned non-finite value {v!r} at {x!r}")
             new_terms.append(v)
-        row = [0.5 * prev_row[0] + h * math.fsum(new_terms)]
+        try:
+            row = [0.5 * prev_row[0] + h * math.fsum(new_terms)]
+        except OverflowError:
+            raise _romberg_overflow(iv) from None
         for k in range(1, level + 1):
             row.append(row[k - 1] + (row[k - 1] - prev_row[k - 1]) / (4.0**k - 1.0))
+        # A float sum that overflows is inf rather than an error; inf or
+        # nan in any entry, this row's or the first row's, reaches the
+        # last one through the extrapolation.
+        if not math.isfinite(row[-1]):
+            raise _romberg_overflow(iv)
         if level >= 2 and abs(row[-1] - prev_row[-1]) <= tol:
             return row[-1]
         prev_row = row

@@ -844,6 +844,24 @@ def test_a_huge_tolerance_on_a_tiny_square_keeps_a_finite_trace_tolerance():
     assert math.isfinite(report.final_bound)
 
 
+_HUGE = Integrand2D(lambda x, y: 1.7e308 * math.cos(3 * x * y) ** 2, "nonnegative")
+
+
+@pytest.mark.parametrize("solve,line", [
+    pytest.param(lambda: refine(_HUGE, UNIT, "s_minus", 1e300, max_n=16), "vertical-mid trace integral, on the line x = 0.5", id="refine-s_minus"),
+    pytest.param(lambda: refine(_HUGE, UNIT, "s_plus", 1e300, max_n=16), "left trace integral, on the line x = 0.0", id="refine-s_plus"),
+    pytest.param(lambda: refine_mean(_HUGE, UNIT, 1e300, max_n=16), "left trace integral, on the line x = 0.0", id="refine_mean"),
+    pytest.param(lambda: enclosure(_HUGE, UNIT, 4, 4), "left trace integral, on the line x = 0.0", id="enclosure"),
+    pytest.param(lambda: s_plus(_HUGE, UNIT, 4), "left trace integral, on the line x = 0.0", id="s_plus"),
+])
+def test_an_overflowing_romberg_trace_is_named(solve, line):
+    """The grid pass of this integrand stays finite, but its Romberg trace
+    sums overflow: the error names the trace line and the interval, where
+    fsum's bare 'intermediate overflow' escaped before."""
+    with pytest.raises(ValueError, match=rf"^the {line}, failed: Romberg sums overflow the float range on \[0.0, 1.0\]$"):
+        solve()
+
+
 @pytest.mark.parametrize("fn_id,rule,tol", [
     ("sin_xy", "s_minus", 1e-3), ("exp_xy", "s_minus", 1e-7), ("sin_xy", "s_minus", 1e-5), ("exp_xy", "s_plus", 1e-5),
 ])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trapcube.kernels as kernels
 from trapcube.cubature import _BLOCK_POINTS
 from trapcube.kernels import (
     SCAN_SLACK_FACTOR,
@@ -16,6 +17,7 @@ from trapcube.kernels import (
     _k2_ends_grid,
     _k2_mid_grid,
     _k2_trap_grid,
+    _k22,
     definiteness_scan,
     k22_s_minus,
     k22_s_plus,
@@ -319,6 +321,53 @@ def test_scan_worst_point_is_the_first_in_row_major_order_on_ties():
     assert [(t, tau) for (t, tau, v) in violations if abs(v) == peak] == [(0.01, 0.989), (0.989, 0.01)]
     assert report.worst[:2] == (0.01, 0.989)
     assert report.max_abs_violation == peak
+
+
+@pytest.mark.parametrize("kind,c", [
+    ("k22_s_minus", None),
+    ("k22_s_plus", None),
+    # Below and above 1 (1/3 at n = 1), and below and above (4n-1)/(4n-3)
+    # at n = 1, 3 and 4: 3, 11/9 and 15/13.
+    ("phi_minus", 0.3),
+    ("phi_minus", 1.1),
+    ("phi_plus", 1.05),
+    ("phi_plus", 3.5),
+])
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_scanned_kernels_are_symmetric_bit_for_bit(kind, c, n):
+    """The premise of the scan's triangle: the full kernel matrix built by
+    ``_k22`` (phi for the comparison kinds) equals its transpose."""
+    grid = np.linspace(0.0, 1.0, 97)
+    U = _k2_mid_grid(grid) if kind.endswith("minus") else _k2_ends_grid(grid)
+    Tn, T2n = _k2_trap_grid(grid, n), _k2_trap_grid(grid, 2 * n)
+    column = (slice(None), None)
+    values = _k22(U[column], U, Tn[column], Tn)
+    if c is not None:
+        values = (c + 1.0) * _k22(U[column], U, T2n[column], T2n) - c * values
+    assert np.any(values)
+    assert values.tobytes() == values.T.tobytes()
+
+
+@pytest.mark.parametrize("kind,c", [("k22_s_minus", None), ("phi_plus", 1.3)])
+def test_scan_evaluates_about_half_the_grid(monkeypatch, kind, c):
+    """A resolution-1000 scan evaluates the triangle tau >= t and the
+    blocks' diagonal squares, at most 0.55 of the grid's points."""
+    sizes = []
+    k22 = kernels._k22
+
+    def counting_k22(*args):
+        values = k22(*args)
+        sizes.append(np.size(values))
+        return values
+
+    monkeypatch.setattr(kernels, "_k22", counting_k22)
+    resolution = 1000
+    points = (resolution + 1) ** 2
+    report = definiteness_scan(KernelSpec(kind=kind, n=2, c=c), resolution)
+    # phi evaluates K22 at both levels for every point.
+    evaluated = sum(sizes) // (1 if c is None else 2)
+    assert (resolution + 1) * (resolution + 2) // 2 <= evaluated <= 0.55 * points
+    assert report.violations == (0 if c is None else 1860)
 
 
 def test_dense_violation_scan_memory_does_not_grow_with_the_violations():

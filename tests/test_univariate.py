@@ -265,3 +265,21 @@ def test_romberg_rejects_non_finite_integrand():
     # Finite at both ends: the first refinement refuses the midpoint value.
     with pytest.raises(ValueError, match="non-finite value inf at 0.5"):
         trace_integral(lambda t: math.inf if t == 0.5 else 1.0, UNIT)
+
+
+def test_romberg_overflow_names_the_interval_at_once():
+    overflow = r"^Romberg sums overflow the float range on \[0.0, 1.0\]$"
+    # fsum itself overflows on the two new terms of the second refinement.
+    with pytest.raises(OverflowError, match=overflow):
+        trace_integral(lambda t: 1e308 if 0.0 < t < 1.0 else 0.0, UNIT)
+    # Only the endpoint sum overflows, to inf, which raises nothing: the
+    # estimate stayed inf through all 24 refinements (2^24 calls of g).
+    calls = []
+
+    def g(t):
+        calls.append(t)
+        return 1.7e308 if t in (0.0, 1.0) else 0.0
+
+    with pytest.raises(OverflowError, match=overflow):
+        trace_integral(g, UNIT)
+    assert calls == [0.0, 1.0, 0.5]
