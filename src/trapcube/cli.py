@@ -192,8 +192,9 @@ _MAX_TABLE_LEVEL = 1024
 _MAX_INTEGRATE_LEVEL = 16384
 
 #: Largest ``scan --resolution`` and ``--n``.  A scan evaluates about
-#: half of the (resolution + 1)^2 points: phi_plus took 1.1-1.3 s at
-#: resolution 16384 on a 2-vCPU Xeon VM, so about 20 s at the cap.
+#: half of the (resolution + 1)^2 points: ``trapcube scan`` of phi_plus
+#: took 1.4-1.6 s at resolution 16384 and 16 s at the cap, on a 2-vCPU
+#: Xeon VM.
 _MAX_SCAN_RESOLUTION = 65536
 
 

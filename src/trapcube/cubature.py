@@ -438,14 +438,16 @@ def _trace_integrals(
     F: Integrand2D, iv: Interval, trace_ids, tol: float
 ) -> Dict[str, Tuple[float, float]]:
     """``(value, budget)`` of each named trace integral over iv, with
-    Romberg traces integrated to absolute tolerance tol."""
+    Romberg traces integrated to absolute tolerance tol.  A trace that
+    fails, on a non-finite value or a sum that overflows, raises a
+    ValueError that names its line."""
     out = {}
     for tid in trace_ids:
         axis, coordinate_of = _TRACE_LINES[tid]
         exact = None if F.exact_traces is None else functools.partial(F.exact_traces[axis], coordinate_of(iv))
         try:
             out[tid] = trace_integral(_trace_function(F.f, tid, iv), iv, exact=exact, tol=tol)
-        except OverflowError as e:
+        except (OverflowError, ValueError) as e:
             line = f"{'xy'[axis]} = {coordinate_of(iv)!r}"
             raise ValueError(f"the {tid} trace integral, on the line {line}, failed: {e}") from None
     return out

@@ -109,13 +109,23 @@ class ScanReport:
         return not self.violations
 
 
-def _k22(u_t, u_tau, t_t, t_tau):
+def _k22(u_t, u_tau, t_t, t_tau, out=None, scratch=None):
     """``U(t) T(tau) + U(tau) T(t) - T(t) T(tau)`` from the univariate
     kernels U of the outer rule and T of the n-panel trapezium rule.
 
-    Takes floats or broadcasting arrays alike.
+    Takes floats or broadcasting arrays alike.  Given arrays ``out`` and
+    ``scratch`` of the result's shape, it forms the same values in
+    ``out``, in the same order and so bit for bit, and returns ``out``.
     """
-    return u_t * t_tau + u_tau * t_t - t_t * t_tau
+    if out is None:
+        return u_t * t_tau + u_tau * t_t - t_t * t_tau
+    import numpy as np
+
+    np.multiply(u_t, t_tau, out=out)
+    np.multiply(u_tau, t_t, out=scratch)
+    np.add(out, scratch, out=out)
+    np.multiply(t_t, t_tau, out=scratch)
+    return np.subtract(out, scratch, out=out)
 
 
 def _k22_point(outer: QuadratureRule, iv: Interval, n: int, t: float, tau: float) -> float:
@@ -190,6 +200,30 @@ def _k2_ends_grid(g: np.ndarray) -> np.ndarray:
     return 0.5 * g * (g - 1.0)
 
 
+def _block_factors(f: np.ndarray, start: int, rows: int, t_out: np.ndarray, tau_out: np.ndarray):
+    """The t and tau factors of the scan block of rows [start, start +
+    rows) and columns [start, len(f)): f's values down the block and
+    along it, copied to the block's shape into ``t_out`` and ``tau_out``,
+    so that the kernel is formed with same-shape arithmetic.  A product
+    of two such arrays ran about twice as fast as the outer broadcast of
+    (rows, 1) and (width,) on a 31 x 513 block.
+
+    A one-row block, which only resolutions above 8192 have, needs no
+    copy: it keeps f[start], a numpy scalar, and the view f[start:].  At
+    resolution 16384 copying its row as well took 1.45 and 1.67 times as
+    long (medians of 11 interleaved k22_s_minus and phi_plus scans, on a
+    2-vCPU VM); broadcasting (1, 1) arrays instead of the scalar was
+    within the noise (the scalar was faster in 4 and 7 of 11).
+    """
+    if rows == 1:
+        return f[start], f[start:]
+    import numpy as np
+
+    np.copyto(t_out, f[start:start + rows, None])
+    np.copyto(tau_out, f[start:])
+    return t_out, tau_out
+
+
 def definiteness_scan(spec: KernelSpec, resolution: int) -> ScanReport:
     """Check the sign a kernel kind keeps on a uniform grid.
 
@@ -204,8 +238,14 @@ def definiteness_scan(spec: KernelSpec, resolution: int) -> ScanReport:
     evaluates only the points with ``tau >= t``, plus a square of each
     block's rows on the diagonal (0.52 of the grid at resolution 1000,
     0.68 at 256), and counts each point off the diagonal for its mirror
-    too.  Memory beyond one block of rows is 8 bytes per sign-breaking
-    point evaluated, which is about half of the sign-breaking points.
+    too.  Each block's values are formed in place, with the operations
+    of ``_k22`` and phi in the order they are written, so they equal the
+    formula's bit for bit, in seven scratch arrays of
+    ``max(_BLOCK_POINTS, resolution + 1)`` floats allocated once per scan:
+    896 KiB up to resolution 16383 and ``56 (resolution + 1)`` bytes
+    above it.
+    Beyond those the scan keeps 8 bytes per sign-breaking point
+    evaluated, which is about half of the sign-breaking points.
 
     Violation regions of the comparison kernels just below their
     critical constants hug the grid lines, so catching them needs a
@@ -219,6 +259,7 @@ def definiteness_scan(spec: KernelSpec, resolution: int) -> ScanReport:
     _hold_heap(np)
     n, c = spec.n, spec.c
     expected = _KERNEL_SIGNS[spec.kind]
+    nonnegative = expected == "nonnegative"
     size = resolution + 1
     grid = np.linspace(0.0, 1.0, size)
     U = _k2_mid_grid(grid) if spec.kind.endswith("minus") else _k2_ends_grid(grid)
@@ -232,6 +273,11 @@ def definiteness_scan(spec: KernelSpec, resolution: int) -> ScanReport:
     # which no block evaluates.  Of two mirrored points the one with j > i
     # comes first in row-major order, so the first worst point on ties is
     # one that is evaluated.
+    # Scratch of every block: the factors U and T (of level n, then of
+    # level 2n) down the block (t) and along it (tau), K22 at levels n and
+    # 2n, and a product.  A block's arrays are the first rows * width
+    # floats of each.
+    buffers = np.empty((7, max(_BLOCK_POINTS, size)))
     # |value| of the sign-breaking points of each block, (square, strip).
     # The slack needs the final scale, so they are counted after the loop.
     hits = []
@@ -241,22 +287,21 @@ def definiteness_scan(spec: KernelSpec, resolution: int) -> ScanReport:
     while start < size:
         width = size - start
         rows = min(max(1, _BLOCK_POINTS // width), width)
-        # r picks the block's rows from the t-axis arrays (t down the
-        # block, tau along its rows).  One row takes an int, so its t
-        # factors are numpy scalars.  Blocks have one row only above
-        # resolution 8192; at 16384 the int beat broadcasting (1, 1) arrays
-        # in 10 and 9 of 11 interleaved k22_s_minus and phi_plus scans, by
-        # 4 % and 3 % in the median, on a 2-vCPU VM.
-        r = start if rows == 1 else (slice(start, start + rows), None)
-        values = _k22(U[r], U[start:], Tn[r], Tn[start:])
+        shape = (rows, width) if rows > 1 else width
+        u_t, u_tau, t_t, t_tau, coarse, fine, scratch = (b[: rows * width].reshape(shape) for b in buffers)
+        u = _block_factors(U, start, rows, u_t, u_tau)
+        values = _k22(*u, *_block_factors(Tn, start, rows, t_t, t_tau), coarse, scratch)
         if T2n is not None:
-            values = (c + 1.0) * _k22(U[r], U[start:], T2n[r], T2n[start:]) - c * values
-        scale = max(scale, float(np.max(np.abs(values))))
-        bad = values < 0.0 if expected == "nonnegative" else values > 0.0
-        # Most blocks of a clean scan have no candidate; skipping
-        # np.flatnonzero there keeps one-row blocks as fast as a row loop.
-        if bad.any():
-            k = np.flatnonzero(bad)
+            fine = _k22(*u, *_block_factors(T2n, start, rows, t_t, t_tau), fine, scratch)
+            np.multiply(fine, c + 1.0, out=fine)
+            np.multiply(values, c, out=values)
+            values = np.subtract(fine, values, out=fine)
+        high, low = float(values.max()), float(values.min())
+        scale = max(scale, high, -low)
+        # Most blocks of a clean scan keep the sign at every point, which
+        # their min (or max) shows without a mask.
+        if (low < 0.0) if nonnegative else (high > 0.0):
+            k = np.flatnonzero(values < 0.0 if nonnegative else values > 0.0)
             v = values.take(k)
             mags = np.abs(v)
             strip = k % width >= rows

@@ -862,6 +862,23 @@ def test_an_overflowing_romberg_trace_is_named(solve, line):
         solve()
 
 
+_INF_ON_DOWN_EDGE = Integrand2D(
+    lambda x, y: math.inf if y == 0.0 and 0.3 < x < 0.4 else math.exp(x * y) + math.sin(5 * x), "nonnegative"
+)
+
+
+@pytest.mark.parametrize("solve", [
+    pytest.param(lambda: enclosure(_INF_ON_DOWN_EDGE, UNIT, 4, 4), id="enclosure"),
+    pytest.param(lambda: refine(_INF_ON_DOWN_EDGE, UNIT, "s_plus", 1e-3), id="refine-s_plus"),
+])
+def test_a_non_finite_romberg_trace_value_is_named_with_its_line(solve):
+    """The grid at n = 4 misses the infinite stretch of the edge y = 0,
+    which the down trace's Romberg nodes reach at x = 0.375: the error
+    names the trace and its line as well as the point on it."""
+    with pytest.raises(ValueError, match=r"^the down trace integral, on the line y = 0.0, failed: integrand returned non-finite value inf at 0.375$"):
+        solve()
+
+
 @pytest.mark.parametrize("fn_id,rule,tol", [
     ("sin_xy", "s_minus", 1e-3), ("exp_xy", "s_minus", 1e-7), ("sin_xy", "s_minus", 1e-5), ("exp_xy", "s_plus", 1e-5),
 ])

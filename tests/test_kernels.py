@@ -284,7 +284,9 @@ def test_block_scan_equals_row_loop(kind, c, n, resolution):
         assert report.violations > 0
 
 
-#: A grid row of more than half a block's points: every block is one row.
+#: A grid row of more than half a block's points: the first block is one
+#: row.  The blocks after it are narrower, since each starts at its
+#: diagonal, and take two rows or more.
 ONE_ROW_RESOLUTION = _BLOCK_POINTS // 2
 
 
@@ -295,6 +297,7 @@ ONE_ROW_RESOLUTION = _BLOCK_POINTS // 2
     ("phi_plus", 1.4, "nonpositive", 4, 4095, 0),
     ("k22_s_minus", None, "nonpositive", 5, ONE_ROW_RESOLUTION, 0),
     ("phi_plus", 1.4, "nonpositive", 4, ONE_ROW_RESOLUTION, 0),
+    ("phi_plus", 1.3, "nonpositive", 2, ONE_ROW_RESOLUTION, 131420),
 ])
 def test_block_scan_equals_row_loop_across_blocks(kind, c, expected, n, resolution, count):
     """Violations spread over many blocks, and grids of one row per
@@ -308,6 +311,24 @@ def test_block_scan_equals_row_loop_across_blocks(kind, c, expected, n, resoluti
     assert _hex(report) == _hex(reference)
     assert report.violations == count
     assert count == 0 or len({t for (t, _, _) in violations}) > rows_per_block
+
+
+@pytest.mark.parametrize("kind,c,n,resolution,count", [
+    ("phi_minus", 0.9, 4, 512, 3352),
+    ("phi_plus", 1.3, 2, 1000, 1860),
+])
+def test_one_row_blocks_with_violations_keep_the_row_loop_report(monkeypatch, kind, c, n, resolution, count):
+    """With blocks of 256 points every row wider than 128 points is a
+    block of its own, so these violations, and the worst points, are
+    found in one-row blocks, which otherwise only resolutions above 8192
+    have."""
+    monkeypatch.setattr(kernels, "_BLOCK_POINTS", 256)
+    spec = KernelSpec(kind=kind, n=n, c=c)
+    report = definiteness_scan(spec, resolution)
+    assert _hex(report) == _hex(_row_loop_scan(spec, resolution)[0])
+    assert report.violations == count
+    t, tau, _ = report.worst
+    assert min(t, tau) * resolution < resolution + 1 - 128
 
 
 def test_scan_worst_point_is_the_first_in_row_major_order_on_ties():
