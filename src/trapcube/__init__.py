@@ -46,7 +46,6 @@ from .univariate import (
     apply,
     midpoint_rule,
     peano_kernel,
-    trace_integral,
     trapezium_rule,
 )
 
@@ -83,7 +82,6 @@ __all__ = [
     "refine_mean",
     "s_minus",
     "s_plus",
-    "trace_integral",
     "trapezium_rule",
     "__version__",
 ]

@@ -19,12 +19,11 @@ sampling cannot certify a sign.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
-from .univariate import _SIGNS, Interval, _integer, apply, trace_integral, trapezium_rule
+from .univariate import _SIGNS, Interval, _integer, _romberg, apply, trapezium_rule
 
 # numpy is imported inside the functions that build arrays, so that
 # scalar integrands never load it.
@@ -65,12 +64,13 @@ class Integrand2D:
         integral over iv of ``t -> f(c, t)`` and ``g_y(c, iv)`` that of
         ``t -> f(t, c)``.  The rules call them with c an end or the
         midpoint of iv: ``s_plus`` at the four edges, ``s_minus`` at the
-        two mid-lines.  Without them every trace is integrated by
-        adaptive Romberg integration to an absolute tolerance, which then
-        enters the error budget: 1e-12 for the fixed-level rules, and
-        ``max(tol / (2000 * width), 1e-12)`` in a refinement to tol, whose
-        trace budget is then tol/1000.  That tolerance is Romberg's
-        stopping test, an estimate and not a proven bound.
+        two mid-lines.  A supplied trace has budget 0.  Without them
+        every trace is integrated by adaptive Romberg integration to an
+        absolute tolerance, which is its budget: 1e-12 for the
+        fixed-level rules, and ``max(tol / (2000 * width), 1e-12)`` in a
+        refinement to tol, whose trace budget is then tol/1000.  That
+        tolerance is Romberg's stopping test, an estimate and not a
+        proven bound.
     vectorized : bool, optional
         Declares that f also accepts numpy arrays.  The grid pass then
         calls ``f(X, Y)`` on blocks of rows, with X a column of x nodes
@@ -101,12 +101,14 @@ class CubatureEstimate:
     """Value of one cubature rule application plus its metadata.
 
     ``trace_err_budget`` is the perturbation of ``value`` allowed for
-    inexactly known trace integrals: each trace's Romberg tolerance scaled
-    by the coefficient it enters the rule with, ``2 * width * t`` for a
-    per-trace tolerance t (1e-12 here; a refinement to tol uses
-    ``max(tol / (2000 * width), 1e-12)``).  Romberg's tolerance is its
-    stopping test, a heuristic and not a proven bound.  The budget is zero
-    for the plain product rule and whenever all traces are exact.
+    inexactly known trace integrals: each trace's budget scaled by the
+    coefficient it enters the rule with.  An exact trace's budget is 0 and
+    a Romberg trace's is its tolerance t, so with Romberg traces the
+    budget is ``2 * width * t`` (t = 1e-12 for the fixed-level rules; a
+    refinement to tol uses ``max(tol / (2000 * width), 1e-12)``).
+    Romberg's tolerance is its stopping test, a heuristic and not a proven
+    bound.  The budget is zero for the plain product rule and whenever all
+    traces are exact.
     """
 
     value: float
@@ -121,8 +123,9 @@ class Enclosure:
 
     ``lower`` comes from the rule that undershoots and ``upper`` from
     the rule that overshoots, given the declared sign of ``D22 f``.
-    ``slack`` is the trace-integral inflation applied to both ends; with
-    exact traces it is zero and the bracket is sharp up to rounding.
+    ``slack`` is the trace-integral inflation applied to both ends, each
+    rounded outward; with exact traces it is zero and the bracket is
+    sharp up to rounding.
     """
 
     lower: float
@@ -437,18 +440,25 @@ _TRACE_TOL = 1e-12
 def _trace_integrals(
     F: Integrand2D, iv: Interval, trace_ids, tol: float
 ) -> Dict[str, Tuple[float, float]]:
-    """``(value, budget)`` of each named trace integral over iv, with
-    Romberg traces integrated to absolute tolerance tol.  A trace that
-    fails, on a non-finite value or a sum that overflows, raises a
-    ValueError that names its line."""
+    """``(value, budget)`` of each named trace integral over iv: the
+    exact supplier's value with budget 0 when F has ``exact_traces``, and
+    otherwise the Romberg value to absolute tolerance tol with budget tol.
+    A trace that fails, on a non-finite value or a sum that overflows,
+    raises a ValueError that names its line."""
     out = {}
     for tid in trace_ids:
         axis, coordinate_of = _TRACE_LINES[tid]
-        exact = None if F.exact_traces is None else functools.partial(F.exact_traces[axis], coordinate_of(iv))
+        c = coordinate_of(iv)
         try:
-            out[tid] = trace_integral(_trace_function(F.f, tid, iv), iv, exact=exact, tol=tol)
+            if F.exact_traces is None:
+                out[tid] = _romberg(_trace_function(F.f, tid, iv), iv, tol), tol
+            else:
+                value = float(F.exact_traces[axis](c, iv))
+                if not math.isfinite(value):
+                    raise ValueError(f"exact trace integral returned non-finite value {value!r}")
+                out[tid] = value, 0.0
         except (OverflowError, ValueError) as e:
-            line = f"{'xy'[axis]} = {coordinate_of(iv)!r}"
+            line = f"{'xy'[axis]} = {c!r}"
             raise ValueError(f"the {tid} trace integral, on the line {line}, failed: {e}") from None
     return out
 
@@ -593,24 +603,30 @@ def enclosure(F: Integrand2D, iv: Interval, n_plus: int, n_minus: int) -> Enclos
     derivative the bracket is ``[s_plus - slack, s_minus + slack]``;
     the roles of the two rules swap for a nonpositive declaration.
     The slack is the larger of the two trace-integral budgets, applied
-    to both ends, so the interval stays certified under inexact traces.
-    With ``n_plus == n_minus`` both rules share one pass over the grid.
+    to both ends, so the interval stays certified under inexact traces;
+    each end is rounded outward, so it holds the exact ``s_plus - slack``
+    or ``s_minus + slack``.  Each distinct level costs one pass over the
+    grid, which serves both rules when ``n_plus == n_minus``.
     """
     over = _overshooting_rule(F)
-    # A float level equal to the other would otherwise take the shared pass.
-    if _integer(n_plus, "panel count") == _integer(n_minus, "panel count"):
-        value = _levels(F, iv)(n_plus)
-        plus, minus = value("s_plus"), value("s_minus")
-    else:
-        # Refuse a bad level before either grid pass.
-        for n in (n_plus, n_minus):
-            trapezium_rule(iv, n)
-        plus, minus = s_plus(F, iv, n_plus), s_minus(F, iv, n_minus)
+    # Refuse a bad level before any grid pass.
+    for n in (n_plus, n_minus):
+        trapezium_rule(iv, n)
+    level = _levels(F, iv)
+    value = {n: level(n) for n in dict.fromkeys((n_plus, n_minus))}
+    plus, minus = value[n_plus]("s_plus"), value[n_minus]("s_minus")
     high, low = (minus, plus) if over == "s_minus" else (plus, minus)
     slack = max(low.trace_err_budget, high.trace_err_budget)
+    lower, upper = low.value - slack, high.value + slack
+    # math.fsum is correctly rounded, so each sign below is exact: an end
+    # that rounded inward steps one ulp outward, past the exact end.
+    if math.isfinite(lower) and math.fsum((lower, -low.value, slack)) > 0.0:
+        lower = math.nextafter(lower, -math.inf)
+    if math.isfinite(upper) and math.fsum((upper, -high.value, -slack)) < 0.0:
+        upper = math.nextafter(upper, math.inf)
     return Enclosure(
-        lower=low.value - slack,
-        upper=high.value + slack,
+        lower=lower,
+        upper=upper,
         n_lower=low.n,
         n_upper=high.n,
         slack=slack,

@@ -1,5 +1,5 @@
 """Composite trapezium and midpoint rules, their Peano kernels, and
-univariate trace integrals.
+Romberg integration of univariate traces.
 
 The two quadrature rules here are the univariate building blocks of the
 modified product cubature rules in :mod:`trapcube.cubature`.  Both have
@@ -14,7 +14,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 __all__ = [
     "Interval",
@@ -24,7 +24,6 @@ __all__ = [
     "midpoint_rule",
     "apply",
     "peano_kernel",
-    "trace_integral",
 ]
 
 #: The two signs a Peano kernel or a mixed derivative can be declared or
@@ -257,30 +256,3 @@ def _romberg(g: Callable[[float], float], iv: Interval, tol: float) -> float:
         f"integral did not converge to {tol!r} within {_MAX_ROMBERG_LEVELS} refinement levels",
         best_estimate=prev_row[-1],
     )
-
-
-def trace_integral(
-    g: Callable[[float], float],
-    iv: Interval,
-    exact: Optional[Callable[[Interval], float]] = None,
-    tol: float = 1e-12,
-) -> Tuple[float, float]:
-    """Integral of a univariate trace over iv together with an error budget.
-
-    When an exact-value supplier is given, its value is returned with a
-    zero budget.  Otherwise the integral is approximated by adaptive
-    Romberg refinement and the budget equals tol, the requested
-    absolute accuracy.
-
-    Returns
-    -------
-    (value, err_budget) : tuple of float
-    """
-    if not tol > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
-    if exact is not None:
-        value = float(exact(iv))
-        if not math.isfinite(value):
-            raise ValueError(f"exact trace integral returned non-finite value {value!r}")
-        return value, 0.0
-    return _romberg(g, iv, tol), tol

@@ -5,17 +5,17 @@ The library computes each one-sided rule directly, as ``C_n`` plus
 weighted trace remainders, and each kernel by the three-term form of
 ``K22``.  The functions here take the paper's other routes: the blending
 construction ``S_n[f] = I[Bf] + C_n[f] - C_n[Bf]`` and a mixed
-arrangement of the edge kernel.  They use only public names, so they
-share no code with the routes they check beyond the product rule, the
-trapezium rule, the Peano kernels and Romberg trace integration.  Trace
-integrals are always Romberg values at ``trace_integral``'s default
-tolerance, the one the rules use, so compare them with rules run on
-integrands without exact traces.
+arrangement of the edge kernel.  They share no code with the routes
+they check beyond the product rule, the trapezium rule, the Peano
+kernels and Romberg trace integration, the one private function they
+call.  Trace integrals are always ``univariate._romberg`` values at
+``cubature._TRACE_TOL``, the tolerance the fixed-level rules use, so
+compare them with rules run on integrands without exact traces.
 """
 import math
 
-from trapcube.cubature import Integrand2D, product_trapezoid
-from trapcube.univariate import apply, peano_kernel, trace_integral, trapezium_rule
+from trapcube.cubature import _TRACE_TOL, Integrand2D, product_trapezoid
+from trapcube.univariate import _romberg, apply, peano_kernel, trapezium_rule
 
 
 def _blending_value(F, iv, n, integral_bf, Bf):
@@ -53,7 +53,7 @@ def s_plus_by_blending(F, iv, n):
         )
 
     edges = [lambda t: f(a, t), lambda t: f(b, t), lambda t: f(t, a), lambda t: f(t, b)]
-    edge_sum = math.fsum(trace_integral(g, iv)[0] for g in edges)
+    edge_sum = math.fsum(_romberg(g, iv, _TRACE_TOL) for g in edges)
     h = 0.5 * w
     corner_sum = f(a, a) + f(a, b) + f(b, a) + f(b, b)
     return _blending_value(F, iv, n, h * edge_sum - h * h * corner_sum, Bf)
@@ -82,8 +82,8 @@ def s_minus_by_blending(F, iv, n, fx, fy, fxy):
             - (x - m) * (y - m) * fxy(m, m)
         )
 
-    vertical = trace_integral(lambda t: f(m, t), iv)[0]
-    horizontal = trace_integral(lambda t: f(t, m), iv)[0]
+    vertical = _romberg(lambda t: f(m, t), iv, _TRACE_TOL)
+    horizontal = _romberg(lambda t: f(t, m), iv, _TRACE_TOL)
     return _blending_value(F, iv, n, w * (vertical + horizontal) - w * w * f(m, m), Bf)
 
 

@@ -331,22 +331,22 @@ def test_refine_evaluates_each_level_grid_once_with_exact_traces(counted_exp_xy)
 
 
 def _traces_integrated(monkeypatch, solve):
-    """The trace ids a solve integrates, in order, and the count of
-    ``trace_integral`` calls it makes."""
+    """The trace ids a solve integrates, in order, and the tolerance of
+    each Romberg integration it runs."""
     ids, calls = [], []
-    integrate, romberg = cubature._trace_integrals, cubature.trace_integral
+    integrate, romberg = cubature._trace_integrals, cubature._romberg
 
     def spy(F, iv, trace_ids, tol):
         ids.extend(trace_ids)
         return integrate(F, iv, trace_ids, tol)
 
-    def counted(g, iv, exact=None, tol=1e-12):
+    def counted(g, iv, tol):
         calls.append(tol)
-        return romberg(g, iv, exact=exact, tol=tol)
+        return romberg(g, iv, tol)
 
     with monkeypatch.context() as mp:
         mp.setattr(cubature, "_trace_integrals", spy)
-        mp.setattr(cubature, "trace_integral", counted)
+        mp.setattr(cubature, "_romberg", counted)
         report = solve()
     return report, ids, calls
 
@@ -379,17 +379,25 @@ def test_a_pair_that_meets_tol_integrates_only_its_own_traces(monkeypatch, rule,
     assert len(calls) == len(traces)
 
 
-def test_non_finite_exact_traces_are_refused():
-    """A NaN from an exact-trace supplier is named, not reported as an
-    empty enclosure or carried into a refinement result."""
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_exact_traces_are_refused(value):
+    """A non-finite value from an exact-trace supplier is named with its
+    line, not reported as an empty enclosure or carried into a refinement
+    result."""
     F = Integrand2D(
         f=lambda x, y: math.exp(x * y),
         d22_sign="nonnegative",
-        exact_traces=(lambda c, iv: math.nan, lambda c, iv: math.nan),
+        exact_traces=(lambda c, iv: value, lambda c, iv: value),
     )
-    with pytest.raises(ValueError, match="exact trace integral returned non-finite value nan"):
+    with pytest.raises(ValueError, match=(
+        r"^the left trace integral, on the line x = 0.0, failed: "
+        rf"exact trace integral returned non-finite value {value!r}$"
+    )):
         enclosure(F, UNIT, 4, 4)
-    with pytest.raises(ValueError, match="exact trace integral returned non-finite value nan"):
+    with pytest.raises(ValueError, match=(
+        r"^the vertical-mid trace integral, on the line x = 0.5, failed: "
+        rf"exact trace integral returned non-finite value {value!r}$"
+    )):
         refine(F, UNIT, "s_minus", 1e-3, max_n=16)
 
 

@@ -1,5 +1,7 @@
 """Tests for the product rule, the two one-sided rules, and the bracket."""
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 
 from trapcube.adaptive import refine, refine_mean
 from trapcube.cubature import (
+    _TRACE_TOL,
+    _trace_integrals,
     Enclosure,
     Integrand2D,
     enclosure,
@@ -17,7 +21,7 @@ from trapcube.cubature import (
     s_plus,
 )
 from trapcube.oracle import ref_exp_integral, ref_sin_integral
-from trapcube.univariate import Interval, apply, trace_integral, trapezium_rule
+from trapcube.univariate import Interval, _romberg, apply, trapezium_rule
 
 from crosscheck import s_minus_by_blending, s_plus_by_blending
 
@@ -219,6 +223,20 @@ def test_trace_budget_zero_with_exact_traces():
     assert abs(with_exact.value - with_romberg.value) < 1e-12
 
 
+def test_an_exact_trace_is_its_value_as_a_float_with_budget_zero():
+    half = Integrand2D(f=lambda x, y: x, exact_traces=(lambda c, iv: Fraction(1, 2),) * 2)
+    traces = _trace_integrals(half, UNIT, ("left", "up"), 1e-12)
+    assert traces == {"left": (0.5, 0.0), "up": (0.5, 0.0)}
+    assert all(type(value) is float for value, _ in traces.values())
+
+
+def test_a_romberg_trace_has_its_tolerance_as_budget():
+    traces = _trace_integrals(EXP, UNIT, ("right", "up"), 1e-12)
+    for value, budget in traces.values():
+        assert budget == 1e-12
+        assert abs(value - (math.e - 1.0)) <= 1e-12
+
+
 def test_rule_values_are_python_floats_with_romberg_traces():
     """A vectorized integrand's Romberg traces are numpy scalars; the
     rule values are still plain floats."""
@@ -263,6 +281,28 @@ def test_enclosure_requires_declared_sign():
 def test_enclosure_type_rejects_crossed_bounds():
     with pytest.raises(ValueError, match="empty enclosure"):
         Enclosure(lower=1.0, upper=0.0, n_lower=1, n_upper=1, slack=0.0)
+
+
+def test_enclosure_ends_hold_the_exact_ends_with_slack():
+    """With Romberg traces ``low - slack`` and ``high + slack`` round
+    inward on about half of all squares.  Each end holds the exact
+    ``S_under - slack`` or ``S_over + slack``, and lies at most one ulp
+    outside the rounded one."""
+    rng = random.Random(2)
+    inward = 0
+    for _ in range(40):
+        k, a, w = rng.uniform(0.5, 2.0), rng.uniform(0.0, 0.5), rng.uniform(0.25, 1.0)
+        F = Integrand2D(f=lambda x, y, k=k: math.exp(k * x * y), d22_sign="nonnegative")
+        iv = Interval(a, a + w)
+        enc = enclosure(F, iv, 8, 8)
+        low, high, slack = s_plus(F, iv, 8).value, s_minus(F, iv, 8).value, enc.slack
+        assert slack > 0.0
+        assert Fraction(enc.lower) <= Fraction(low) - Fraction(slack)
+        assert Fraction(enc.upper) >= Fraction(high) + Fraction(slack)
+        assert enc.lower >= math.nextafter(low - slack, -math.inf)
+        assert enc.upper <= math.nextafter(high + slack, math.inf)
+        inward += (enc.lower != low - slack) + (enc.upper != high + slack)
+    assert inward > 0
 
 
 def test_mismatched_levels_allowed():
@@ -336,7 +376,7 @@ def test_s_minus_equals_its_formula_bit_for_bit(a, b, n):
     rule = trapezium_rule(iv, n)
     remainders = []
     for g in (lambda t: f(m, t), lambda t: f(t, m)):
-        value, _ = trace_integral(g, iv)
+        value = _romberg(g, iv, _TRACE_TOL)
         remainders.append(value - apply(rule, g))
     expected = product_trapezoid(EXP, iv, n).value + iv.width * (remainders[0] + remainders[1])
     assert s_minus(EXP, iv, n).value == expected

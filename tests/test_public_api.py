@@ -35,14 +35,13 @@ PUBLIC_NAMES = {
     "refine_mean",
     "s_minus",
     "s_plus",
-    "trace_integral",
     "trapezium_rule",
     "__version__",
 }
 
 
 def test_package_exports_exactly_the_pinned_names():
-    assert len(trapcube.__all__) == len(PUBLIC_NAMES) == 33
+    assert len(trapcube.__all__) == len(PUBLIC_NAMES) == 32
     assert set(trapcube.__all__) == PUBLIC_NAMES
 
 

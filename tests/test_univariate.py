@@ -10,10 +10,10 @@ from trapcube.univariate import (
     ConvergenceError,
     Interval,
     QuadratureRule,
+    _romberg,
     apply,
     midpoint_rule,
     peano_kernel,
-    trace_integral,
     trapezium_rule,
 )
 
@@ -198,9 +198,7 @@ def test_k2_integral_trapezium(n):
     """The n-panel trapezium kernel integrates to -w^3 / (12 n^2)."""
     iv = Interval(0.25, 1.75)
     expected = -(iv.width**3) / (12.0 * n * n)
-    value, budget = trace_integral(
-        lambda t: peano_kernel(trapezium_rule(iv, n), t), iv, tol=1e-12
-    )
+    value = _romberg(lambda t: peano_kernel(trapezium_rule(iv, n), t), iv, 1e-12)
     assert abs(value - expected) <= 1e-11
 
 
@@ -208,41 +206,18 @@ def test_k2_integral_midpoint():
     """The midpoint kernel integrates to w^3 / 24."""
     iv = Interval(-2.0, 1.0)
     expected = iv.width**3 / 24.0
-    value, budget = trace_integral(lambda t: peano_kernel(midpoint_rule(iv), t), iv, tol=1e-12)
+    value = _romberg(lambda t: peano_kernel(midpoint_rule(iv), t), iv, 1e-12)
     assert abs(value - expected) <= 1e-11
 
 
-def test_trace_integral_exact_supplier_has_zero_budget():
-    value, budget = trace_integral(lambda t: t, UNIT, exact=lambda iv: 0.5)
-    assert (value, budget) == (0.5, 0.0)
-
-
-def test_trace_integral_romberg_matches_closed_form():
-    value, budget = trace_integral(lambda t: math.exp(t), UNIT, tol=1e-12)
-    assert budget == 1e-12
+def test_romberg_matches_closed_form():
+    value = _romberg(lambda t: math.exp(t), UNIT, 1e-12)
     assert abs(value - (math.e - 1.0)) <= 1e-12
 
 
-def test_trace_integral_polynomial_fast_convergence():
-    value, _ = trace_integral(lambda t: t**3 - 2 * t, Interval(0.0, 2.0), tol=1e-13)
+def test_romberg_polynomial_fast_convergence():
+    value = _romberg(lambda t: t**3 - 2 * t, Interval(0.0, 2.0), 1e-13)
     assert value == pytest.approx(0.0, abs=1e-12)
-
-
-def test_trace_integral_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        trace_integral(lambda t: t, UNIT, tol=0.0)
-
-    # A NaN tolerance is refused before the integrand is evaluated.
-    def g(t):
-        raise AssertionError(f"integrand evaluated at {t!r}")
-
-    with pytest.raises(ValueError, match="tolerance must be positive"):
-        trace_integral(g, UNIT, tol=math.nan)
-
-
-def test_trace_integral_rejects_non_finite_exact_value():
-    with pytest.raises(ValueError, match="non-finite value inf"):
-        trace_integral(lambda t: t, UNIT, exact=lambda iv: math.inf)
 
 
 def test_romberg_exhaustion_carries_best_estimate(monkeypatch):
@@ -255,23 +230,23 @@ def test_romberg_exhaustion_carries_best_estimate(monkeypatch):
 
     monkeypatch.setattr(uv, "_MAX_ROMBERG_LEVELS", 8)
     with pytest.raises(ConvergenceError) as info:
-        trace_integral(math.sqrt, UNIT, tol=1e-30)
+        _romberg(math.sqrt, UNIT, 1e-30)
     assert abs(info.value.best_estimate - 2.0 / 3.0) < 1e-2
 
 
 def test_romberg_rejects_non_finite_integrand():
     with pytest.raises(ValueError):
-        trace_integral(lambda t: math.inf if t > 0.9 else t, UNIT, tol=1e-10)
+        _romberg(lambda t: math.inf if t > 0.9 else t, UNIT, 1e-10)
     # Finite at both ends: the first refinement refuses the midpoint value.
     with pytest.raises(ValueError, match="non-finite value inf at 0.5"):
-        trace_integral(lambda t: math.inf if t == 0.5 else 1.0, UNIT)
+        _romberg(lambda t: math.inf if t == 0.5 else 1.0, UNIT, 1e-12)
 
 
 def test_romberg_overflow_names_the_interval_at_once():
     overflow = r"^Romberg sums overflow the float range on \[0.0, 1.0\]$"
     # fsum itself overflows on the two new terms of the second refinement.
     with pytest.raises(OverflowError, match=overflow):
-        trace_integral(lambda t: 1e308 if 0.0 < t < 1.0 else 0.0, UNIT)
+        _romberg(lambda t: 1e308 if 0.0 < t < 1.0 else 0.0, UNIT, 1e-12)
     # Only the endpoint sum overflows, to inf, which raises nothing: the
     # estimate stayed inf through all 24 refinements (2^24 calls of g).
     calls = []
@@ -281,5 +256,5 @@ def test_romberg_overflow_names_the_interval_at_once():
         return 1.7e308 if t in (0.0, 1.0) else 0.0
 
     with pytest.raises(OverflowError, match=overflow):
-        trace_integral(g, UNIT)
+        _romberg(g, UNIT, 1e-12)
     assert calls == [0.0, 1.0, 0.5]
