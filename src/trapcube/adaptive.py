@@ -39,11 +39,13 @@ a false declaration), the row keeps its pair interval.  A pair that
 meets the tolerance on its own never reads the other rule.  Each rule's
 traces are integrated once per solve, the first time that rule is read.
 
-A row's bound is widened where rounding needs it, by about an ulp of
-S(2m), so that ``centre -+ (bound + budget)``, evaluated in floats, holds
-the row's interval widened by its budget.  That interval is exact
-arithmetic on the rule values and the float pair bound; the rounding of
-the grid sums themselves is not covered.
+Every row's bound, the mean's included, is widened where rounding needs
+it, by about an ulp of its centre, so that ``centre -+ (bound +
+budget)``, evaluated in floats, holds the row's interval widened by its
+budget.  A pair row's interval has S(2m) at one end and S(2m) -+ c*gap,
+or the other rule's value, at the other; the mean's has the two rule
+values.  Those ends are exact arithmetic on the rule values and the float
+pair bound; the rounding of the grid sums themselves is not covered.
 
 Romberg traces are integrated to ``max(tol / (2000 * width), 1e-12)``
 each, capped at a finite value where that would overflow.  Every rule's
@@ -111,11 +113,11 @@ class RefinementLevel:
     the enclosure of the two rules at level n: it then reaches from S(n)
     to the other rule's value S'(n) where that is nearer, the bound is
     ``0.5 * |S(n) - S'(n)|``, the centre is S(n) moved by it, and
-    ``trace_budget`` is the larger of the two rules' budgets.  The bound
-    is widened by about an ulp of S(n) where rounding needs it (see the
-    module docstring).  For 'mean' the interval lies between the two
-    rules: the bound is half their gap ``0.5 * |S_minus - S_plus|``, and
-    the centre is ``estimate``.  For every rule the certified interval is
+    ``trace_budget`` is the larger of the two rules' budgets.  For 'mean'
+    the interval lies between the two rules: the bound is half their gap
+    ``0.5 * |S_minus - S_plus|``, and the centre is ``estimate``.  Every
+    bound is widened by about an ulp of the centre where rounding needs it
+    (see the module docstring).  For every rule the certified interval is
     ``centre`` plus or minus ``aposteriori_bound + trace_budget``, as in
     the report's ``final_value`` and ``final_bound``.  For the one-sided
     rules both are set only on a row whose previous row is level n/2,
@@ -158,34 +160,22 @@ def _pair_bound(rule: str, n: int, coarse: float, fine: float) -> float:
     return definite_pair_bounds(c, fine, coarse)[0]
 
 
-def _centred(
-    near: float, reach: float, far: Tuple[float, float], overshoots: bool, budget: float
-) -> Tuple[float, float]:
-    """``(bound, centre)`` of the interval from the rule value ``near`` to
-    ``far[0] + far[1]`` (exactly), which lies ``reach`` (rounded) below it
-    when the rule overshoots and above it otherwise.
-
-    The centre is ``near`` moved by half the reach.  The bound is half the
-    reach, widened where rounding needs it, so that ``centre -+ (bound +
-    budget)``, evaluated in floats, reaches the interval's ends moved
-    outward by ``budget``, in exact arithmetic.
-    """
-    bound = 0.5 * reach
-    a, b = far
-    # Minus each end moved outward by the budget, as an exact sum of floats.
-    if overshoots:
-        centre = near - bound
-        minus_lower, minus_upper = (-a, -b, budget), (-near, -budget)
-    else:
-        centre = near + bound
-        minus_lower, minus_upper = (-near, budget), (-a, -b, -budget)
+def _widened(
+    centre: float, bound: float, lower: Tuple[float, ...], upper: Tuple[float, ...], budget: float
+) -> float:
+    """``bound``, widened where rounding needs it, so that ``centre -+
+    (bound + budget)``, evaluated in floats, reaches the interval's ends
+    moved outward by ``budget``, in exact arithmetic.  The exact sums of
+    the floats in ``lower`` and ``upper`` are the ends."""
     r = bound + budget
     if not math.isfinite(centre + r):
-        return math.inf, centre
+        return math.inf
     try:
-        # math.fsum is correctly rounded, so each sign below is exact.
-        while not (
-            math.fsum((centre - r,) + minus_lower) <= 0.0 <= math.fsum((centre + r,) + minus_upper)
+        # math.fsum is correctly rounded, so the signs of lower - budget -
+        # (centre - r) and of upper + budget - (centre + r) are exact.
+        while (
+            math.fsum((*lower, -budget, r - centre)) < 0.0
+            or math.fsum((*upper, budget, -centre - r)) > 0.0
         ):
             # A step of an ulp of the centre and of r moves both ends by
             # more than the rounding of the centre and of r, so a few steps
@@ -194,8 +184,8 @@ def _centred(
             r = bound + budget
     except OverflowError:
         # An end beyond the float range: no finite bound holds it.
-        return math.inf, centre
-    return bound, centre
+        return math.inf
+    return bound
 
 
 def _predict(n: int, bound: float, budget: float, tol: float, cap: int, even: bool) -> int:
@@ -258,10 +248,11 @@ def _refine(F: Integrand2D, iv: Interval, rule: str, tol: float, max_n: int) -> 
             value = level(n)
             diff = bound = centre = None
             if rule == "mean":
-                lo, hi = value("s_plus"), value("s_minus")
-                estimate = centre = 0.5 * (lo.value + hi.value)
-                budget = max(lo.trace_err_budget, hi.trace_err_budget)
-                bound = 0.5 * abs(hi.value - lo.value)
+                plus, minus = value("s_plus"), value("s_minus")
+                budget = max(plus.trace_err_budget, minus.trace_err_budget)
+                lo, hi = sorted((plus.value, minus.value))
+                estimate = centre = 0.5 * (lo + hi)
+                bound = _widened(centre, 0.5 * (hi - lo), (lo,), (hi,), budget)
             else:
                 own = value(rule)
                 estimate, budget = own.value, own.trace_err_budget
@@ -270,6 +261,7 @@ def _refine(F: Integrand2D, iv: Interval, rule: str, tol: float, max_n: int) -> 
                 diff = estimate - prev.estimate
                 if pairs and 2 * prev.n == n:
                     reach = _pair_bound(rule, prev.n, prev.estimate, estimate)
+                    # The interval's far end from S(2m), as an exact sum of floats.
                     far = (estimate, -reach if overshoots else reach)
                     if 0.5 * reach + budget > tol:
                         # The other rule at this level closes the enclosure;
@@ -277,9 +269,11 @@ def _refine(F: Integrand2D, iv: Interval, rule: str, tol: float, max_n: int) -> 
                         o = value(other)
                         gap = estimate - o.value if overshoots else o.value - estimate
                         if 0.0 <= gap < reach:
-                            reach, far = gap, (o.value, 0.0)
+                            reach, far = gap, (o.value,)
                             budget = max(budget, o.trace_err_budget)
-                    bound, centre = _centred(estimate, reach, far, overshoots, budget)
+                    centre = estimate - 0.5 * reach if overshoots else estimate + 0.5 * reach
+                    ends = (far, (estimate,)) if overshoots else ((estimate,), far)
+                    bound = _widened(centre, 0.5 * reach, *ends, budget)
             levels.append(
                 RefinementLevel(
                     n=n,
@@ -349,7 +343,10 @@ def refine_mean(
     At each level both one-sided rules run on the same mesh; the
     estimate is their mean, ``aposteriori_bound`` is half their gap, and
     the certified bound is that plus the larger trace budget, i.e. half
-    the width of :func:`enclosure` at that level.  It is valid already
+    the width of :func:`enclosure` at that level.  The bound is widened
+    by about an ulp where rounding needs it, so that ``centre -+
+    (aposteriori_bound + trace_budget)``, evaluated in floats, holds both
+    rule values moved outward by the budget.  It is valid already
     at the coarsest level because the true integral lies between the two
     rule values, so every row carries it.  The levels are 4 and then one
     at a time, each predicted from the last half gap and budget by the

@@ -443,8 +443,9 @@ def _trace_integrals(
     """``(value, budget)`` of each named trace integral over iv: the
     exact supplier's value with budget 0 when F has ``exact_traces``, and
     otherwise the Romberg value to absolute tolerance tol with budget tol.
-    A trace that fails, on a non-finite value or a sum that overflows,
-    raises a ValueError that names its line."""
+    A trace that fails, on a non-finite value, a value ``float()``
+    refuses or a sum that overflows, raises a ValueError that names its
+    line."""
     out = {}
     for tid in trace_ids:
         axis, coordinate_of = _TRACE_LINES[tid]
@@ -453,7 +454,13 @@ def _trace_integrals(
             if F.exact_traces is None:
                 out[tid] = _romberg(_trace_function(F.f, tid, iv), iv, tol), tol
             else:
-                value = float(F.exact_traces[axis](c, iv))
+                value = F.exact_traces[axis](c, iv)
+                try:
+                    value = float(value)
+                except TypeError:
+                    # Only the conversion's TypeError: one raised by the
+                    # supplier itself is the caller's to see.
+                    raise ValueError(f"exact trace integral returned {value!r}, not a real number") from None
                 if not math.isfinite(value):
                     raise ValueError(f"exact trace integral returned non-finite value {value!r}")
                 out[tid] = value, 0.0

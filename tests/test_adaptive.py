@@ -213,10 +213,12 @@ def test_refine_mean_max_n_reached():
 
 
 def test_refine_mean_bound_is_half_the_enclosure_width():
-    """The mean's bound is half the rules' gap, and the certified bound
-    adds the larger of the two rules' trace budgets, which is the
-    enclosure's slack.  With Romberg traces both budgets are the same,
-    2 * width * 1e-12."""
+    """The mean's bound is half the rules' gap, widened where rounding
+    needs it, and the certified bound adds the larger of the two rules'
+    trace budgets, which is the enclosure's slack.  With Romberg traces
+    both budgets are the same, 2 * width * 1e-12.  Unwidened, the row at
+    n = 4 rounds inward: its bound is 0.0027810995187840253, where half
+    the gap is 0.002781099518783803."""
     F = EXP
     report = refine_mean(F, UNIT, tol=1e-12, max_n=64)
     # The budget 2e-12 alone exceeds tol, so level 4 predicts the cap.
@@ -226,11 +228,50 @@ def test_refine_mean_bound_is_half_the_enclosure_width():
         assert enc.slack > 0.0
         assert lv.trace_budget == enc.slack
         assert s_minus(F, UNIT, lv.n).trace_err_budget == s_plus(F, UNIT, lv.n).trace_err_budget == enc.slack
-        gap = s_minus(F, UNIT, lv.n).value - s_plus(F, UNIT, lv.n).value
-        assert lv.aposteriori_bound == 0.5 * abs(gap)
+        ends = sorted((s_minus(F, UNIT, lv.n).value, s_plus(F, UNIT, lv.n).value))
+        assert lv.aposteriori_bound >= 0.5 * (ends[1] - ends[0])
+        _assert_covers(lv, *map(Fraction, ends))
         assert lv.aposteriori_bound + lv.trace_budget == pytest.approx(
             0.5 * (enc.upper - enc.lower), rel=1e-12
         )
+
+
+def _assert_mean_rows_cover(F, iv, tol, max_n=1024):
+    """Every 'mean' row holds the two rule values at its level, with the
+    solve's trace tolerance, widened by its budget, in exact arithmetic."""
+    level = cubature._levels(F, iv, max(tol / (2000 * iv.width), 1e-12))
+    report = refine_mean(F, iv, tol, max_n=max_n)
+    for lv in report.levels:
+        value = level(lv.n)
+        ends = sorted((value("s_minus").value, value("s_plus").value))
+        assert lv.estimate == lv.centre == 0.5 * (ends[0] + ends[1])
+        _assert_covers(lv, *map(Fraction, ends))
+    return report
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-5])
+def test_refine_mean_rows_hold_both_rule_values(tol):
+    """With the bound at half the gap alone, ``centre - (bound + budget)``
+    rounds inward on the level-4 row of both solves and on the level-72 row
+    at 1e-5, by less than an ulp."""
+    _assert_mean_rows_cover(EXP, UNIT, tol)
+
+
+@given(
+    k=st.floats(min_value=0.5, max_value=2.0),
+    a=st.floats(min_value=0.0, max_value=0.5, exclude_max=True),
+    w=st.floats(min_value=0.25, max_value=1.0, exclude_max=True),
+    log_rtol=st.floats(min_value=-3.0, max_value=-2.0),
+)
+@settings(max_examples=40, deadline=None)
+def test_refine_mean_rows_hold_both_rule_values_on_small_exp_squares(k, a, w, log_rtol):
+    """The squares, tolerances and level cap of the certify-small
+    benchmark, with Romberg traces."""
+    iv = Interval(a, a + w)
+    F = Integrand2D(f=lambda x, y: math.exp(k * x * y), d22_sign="nonnegative")
+    ref = brute_force_integral(lambda x, y: np.exp(k * x * y), iv, 4)
+    report = _assert_mean_rows_cover(F, iv, 10.0**log_rtol * abs(ref), max_n=64)
+    assert report.termination == "tolerance_met"
 
 
 def test_refine_mean_beats_both_one_sided_rules_here():
@@ -379,26 +420,36 @@ def test_a_pair_that_meets_tol_integrates_only_its_own_traces(monkeypatch, rule,
     assert len(calls) == len(traces)
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, None, 1j], ids=["nan", "inf", "None", "1j"])
 def test_non_finite_exact_traces_are_refused(value):
-    """A non-finite value from an exact-trace supplier is named with its
-    line, not reported as an empty enclosure or carried into a refinement
-    result."""
+    """A non-finite value from an exact-trace supplier, or one ``float()``
+    refuses with a TypeError, is named with its line, not reported as an
+    empty enclosure, carried into a refinement result or raised unnamed."""
     F = Integrand2D(
         f=lambda x, y: math.exp(x * y),
         d22_sign="nonnegative",
         exact_traces=(lambda c, iv: value, lambda c, iv: value),
     )
-    with pytest.raises(ValueError, match=(
-        r"^the left trace integral, on the line x = 0.0, failed: "
-        rf"exact trace integral returned non-finite value {value!r}$"
-    )):
+    if isinstance(value, float):
+        reason = rf"exact trace integral returned non-finite value {value!r}"
+    else:
+        reason = rf"exact trace integral returned {value!r}, not a real number"
+    with pytest.raises(ValueError, match=rf"^the left trace integral, on the line x = 0.0, failed: {reason}$"):
         enclosure(F, UNIT, 4, 4)
-    with pytest.raises(ValueError, match=(
-        r"^the vertical-mid trace integral, on the line x = 0.5, failed: "
-        rf"exact trace integral returned non-finite value {value!r}$"
-    )):
+    with pytest.raises(ValueError, match=rf"^the vertical-mid trace integral, on the line x = 0.5, failed: {reason}$"):
         refine(F, UNIT, "s_minus", 1e-3, max_n=16)
+
+
+def test_a_type_error_of_the_trace_supplier_itself_is_not_renamed():
+    """Only the conversion of the supplier's value is checked: an error the
+    supplier raises reaches the caller as it is."""
+
+    def broken(c, iv):
+        raise TypeError("supplier bug")
+
+    F = Integrand2D(f=lambda x, y: math.exp(x * y), d22_sign="nonnegative", exact_traces=(broken, broken))
+    with pytest.raises(TypeError, match="^supplier bug$"):
+        enclosure(F, UNIT, 4, 4)
 
 
 # --------------------------------------------------------------------------
@@ -913,8 +964,7 @@ def test_the_centred_pair_interval_is_widened_to_reach_its_ends():
     pair = abs(fine - coarse)
     centre = fine + 0.5 * pair
     assert centre - 0.5 * pair - fine == pytest.approx(2.8e-17, rel=0.01)
-    bound, got = adaptive._centred(fine, pair, (fine, pair), False, 0.0)
-    assert got == centre
+    bound = adaptive._widened(centre, 0.5 * pair, (fine,), (fine, pair), 0.0)
     assert 0.5 * pair < bound <= 0.5 * pair + 2 * math.ulp(fine)
     assert Fraction(centre - bound) <= Fraction(fine)
     assert Fraction(centre + bound) >= Fraction(fine) + Fraction(pair)
