@@ -14,9 +14,13 @@ nonpositive for the edge rule exactly when ``c >= (4n-1)/(4n-3)``.
 Those thresholds are best possible for every n >= 2.  At n = 1 the
 edge threshold 3 still is, but the mid-line kernel stays nonnegative
 down to ``c = 1/3``, so ``c >= 1`` is sufficient there and not sharp.
-:func:`definiteness_scan` checks both directions numerically on uniform
-grids over the unit square, and :func:`psi` exposes the local
-polynomials that make the thresholds visible in closed form.  One
+
+A :class:`KernelSpec` names each of the four kernels: its kind
+('k22_s_minus', 'k22_s_plus', 'phi_minus' or 'phi_plus'), its level n
+and, for phi, its c.  :func:`kernel_at` evaluates the kernel at a point
+of any square, :func:`definiteness_scan` checks its sign numerically on
+a uniform grid over the unit square, and :func:`psi` gives the local
+polynomials of phi that make the thresholds visible in closed form.  One
 square decides them all: the kernels are built from order-2 Peano
 kernels, which scale by w^2 per axis, so on [a, b]^2 of width w each
 equals w^4 times its unit-square value at the affinely mapped point.
@@ -28,19 +32,17 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from .cubature import _BLOCK_POINTS, _hold_heap
-from .univariate import Interval, QuadratureRule, _integer, midpoint_rule, peano_kernel, trapezium_rule
+from .univariate import Interval, _integer, midpoint_rule, peano_kernel, trapezium_rule
 
-# numpy is imported inside the scan functions, so that the point
-# kernels never load it.
+# numpy is imported inside the scan functions, so that kernel_at and psi
+# never load it.
 if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
     "KernelSpec",
     "ScanReport",
-    "k22_s_minus",
-    "k22_s_plus",
-    "phi",
+    "kernel_at",
     "definiteness_scan",
     "psi",
 ]
@@ -61,8 +63,8 @@ SCAN_SLACK_FACTOR = 1e-14
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Which kernel to scan: the kind, the level (an integer >= 1), and
-    (for comparison kernels) the constant c, finite and positive."""
+    """Which kernel: the kind, the level (an integer >= 1), and (for
+    comparison kernels) the constant c, finite and positive."""
 
     kind: str
     n: int
@@ -128,55 +130,30 @@ def _k22(u_t, u_tau, t_t, t_tau, out=None, scratch=None):
     return np.subtract(out, scratch, out=out)
 
 
-def _k22_point(outer: QuadratureRule, iv: Interval, n: int, t: float, tau: float) -> float:
-    """``K22`` at ``(t, tau)``, with U the Peano kernel of ``outer``."""
-    trap = trapezium_rule(iv, n)
-    return _k22(
-        peano_kernel(outer, t), peano_kernel(outer, tau),
-        peano_kernel(trap, t), peano_kernel(trap, tau),
-    )
+def kernel_at(spec: KernelSpec, iv: Interval, t: float, tau: float) -> float:
+    """The kernel that ``spec`` names, at the point ``(t, tau)`` of ``iv``^2.
 
-
-def k22_s_minus(iv: Interval, n: int, t: float, tau: float) -> float:
-    """Bivariate kernel of the mid-line rule at a point.
-
-    Three-term combination of the univariate order-2 kernels of the
-    midpoint rule M and the n-panel trapezium rule T:
-
-        M(t) T(tau) + M(tau) T(t) - T(t) T(tau)
-
-    Nonpositive throughout the square, which is why the rule's error
-    constant is negative.
+    ``K22`` of a rule is ``U(t) T(tau) + U(tau) T(t) - T(t) T(tau)``, with
+    T the order-2 Peano kernel of the n-panel trapezium rule and U that
+    of the outer rule: the midpoint rule for 'k22_s_minus', which is
+    nonpositive throughout the square (so that rule's error constant is
+    negative), and the one-panel trapezium rule for 'k22_s_plus', which
+    is nonnegative.  'phi_minus' and 'phi_plus' are the comparison
+    kernels ``(c+1) K22(2n) - c K22(n)`` of those rules, whose sign for
+    large enough c turns two successive rule values into a certified
+    error bound.
     """
-    return _k22_point(midpoint_rule(iv), iv, n, t, tau)
+    outer = midpoint_rule(iv) if spec.kind.endswith("minus") else trapezium_rule(iv, 1)
+    u_t, u_tau = peano_kernel(outer, t), peano_kernel(outer, tau)
 
+    def k22(n: int) -> float:
+        trap = trapezium_rule(iv, n)
+        return _k22(u_t, u_tau, peano_kernel(trap, t), peano_kernel(trap, tau))
 
-def k22_s_plus(iv: Interval, n: int, t: float, tau: float) -> float:
-    """Bivariate kernel of the edge rule at a point.
-
-    Same three-term shape as :func:`k22_s_minus` with the midpoint
-    kernel replaced by the single-panel trapezium kernel
-    ``(t-a)(t-b)/2``.  Nonnegative throughout the square.
-    """
-    return _k22_point(trapezium_rule(iv, 1), iv, n, t, tau)
-
-
-def phi(variant: str, iv: Interval, n: int, c: float, t: float, tau: float) -> float:
-    """Comparison kernel of two consecutive refinement levels.
-
-    Returns ``(c+1) K22(2n) - c K22(n)`` for the requested rule
-    variant ('minus' or 'plus').  Its fixed sign for large enough c is
-    what turns two successive rule values into a certified error bound.
-    """
-    if not 0.0 < c < math.inf:
-        raise ValueError(f"comparison constant must be finite and positive, got {c!r}")
-    if variant == "minus":
-        k22 = k22_s_minus
-    elif variant == "plus":
-        k22 = k22_s_plus
-    else:
-        raise ValueError(f"unknown variant {variant!r} (expected 'minus' or 'plus')")
-    return (c + 1.0) * k22(iv, 2 * n, t, tau) - c * k22(iv, n, t, tau)
+    if not spec.kind.startswith("phi"):
+        return k22(spec.n)
+    c = spec.c
+    return (c + 1.0) * k22(2 * spec.n) - c * k22(spec.n)
 
 
 # Vectorized closed forms of the univariate kernels on [0, 1], used by
@@ -333,33 +310,34 @@ def _check_cell(k: int, l: int, n: int) -> None:
         )
 
 
-def psi(variant: str, k: int, l: int, n: int, c: float, u: float, v: float) -> float:
-    """Local polynomial form of the comparison kernel on one fine cell.
+def psi(spec: KernelSpec, k: int, l: int, u: float, v: float) -> float:
+    """Local polynomial form of the comparison kernel ``spec`` on one
+    fine cell.
 
     On the unit square with fine mesh ``h = 1/(2n)``, the comparison
     kernel restricted to the cell with lower-left corner
     ``(2k h, 2l h)`` becomes a polynomial in the local coordinates
-    ``(u, v)`` in [0,1]^2.  Both variants are stated in units of the
+    ``(u, v)`` in [0,1]^2.  Both kinds are stated in units of the
     cell-width factor ``h^4``, so ``4 phi = h^4 psi``, and their
     coefficients are integers and c.  Exposed for closed-form inspection
     of the critical constants; the identities themselves are covered by
     tests.
     """
+    if not spec.kind.startswith("phi"):
+        raise ValueError(f"psi is defined for the comparison kernels only, got {spec.kind!r}")
     if not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0):
         raise ValueError(f"local coordinates ({u!r}, {v!r}) outside the unit square")
+    n, c = spec.n, spec.c
     _check_cell(k, l, n)
     shared = -u * v * (1.0 - u) * (1.0 - v) + c * u * v * (3.0 - u - v)
-    if variant == "minus":
+    if spec.kind == "phi_minus":
         return (
             (2 * k + u) ** 2 * v * (v - 1.0 + c)
             + (2 * l + v) ** 2 * u * (u - 1.0 + c)
             + shared
         )
-    if variant == "plus":
-        return (
-            (2 * k + u) * (2 * k + u - 2 * n) * v * (v - 1.0 + c)
-            + (2 * l + v) * (2 * l + v - 2 * n) * u * (u - 1.0 + c)
-            + shared
-        )
-    raise ValueError(f"unknown variant {variant!r} (expected 'minus' or 'plus')")
-
+    return (
+        (2 * k + u) * (2 * k + u - 2 * n) * v * (v - 1.0 + c)
+        + (2 * l + v) * (2 * l + v - 2 * n) * u * (u - 1.0 + c)
+        + shared
+    )

@@ -19,7 +19,6 @@ from typing import Callable, Tuple
 __all__ = [
     "Interval",
     "QuadratureRule",
-    "ConvergenceError",
     "trapezium_rule",
     "midpoint_rule",
     "apply",
@@ -101,20 +100,6 @@ class QuadratureRule:
             if prev is not None and not x > prev:
                 raise ValueError("nodes must be strictly increasing")
             prev = x
-
-
-class ConvergenceError(RuntimeError):
-    """Raised when an iterative approximation fails to reach its tolerance.
-
-    Attributes
-    ----------
-    best_estimate : float
-        The most accurate value obtained before giving up.
-    """
-
-    def __init__(self, message: str, best_estimate: float):
-        super().__init__(message)
-        self.best_estimate = best_estimate
 
 
 def trapezium_rule(iv: Interval, n: int) -> QuadratureRule:
@@ -218,15 +203,20 @@ def _romberg(g: Callable[[float], float], iv: Interval, tol: float) -> float:
     Classic scheme: trapezium refinements by halving plus Richardson
     extrapolation in h^2.  Convergence is declared when two successive
     diagonal entries differ by at most tol.  Raises OverflowError, naming
-    iv, when a sum or an extrapolation leaves the float range.
+    iv, when a sum or an extrapolation leaves the float range, and
+    ValueError on a non-finite value of g or when tol is not met within
+    ``_MAX_ROMBERG_LEVELS`` refinements.
     """
     a, b = iv.a, iv.b
     h = b - a
-    t0 = g(a)
-    t1 = g(b)
-    if not (math.isfinite(t0) and math.isfinite(t1)):
-        raise ValueError("integrand returned non-finite value at an interval endpoint")
-    prev_row = [0.5 * h * (t0 + t1)]
+    # The ends and then each level's new nodes, checked alike.
+    ends = []
+    for x in (a, b):
+        v = g(x)
+        if not math.isfinite(v):
+            raise ValueError(f"integrand returned non-finite value {v!r} at {x!r}")
+        ends.append(v)
+    prev_row = [0.5 * h * (ends[0] + ends[1])]
     n = 1
     for level in range(1, _MAX_ROMBERG_LEVELS + 1):
         n *= 2
@@ -252,7 +242,4 @@ def _romberg(g: Callable[[float], float], iv: Interval, tol: float) -> float:
         if level >= 2 and abs(row[-1] - prev_row[-1]) <= tol:
             return row[-1]
         prev_row = row
-    raise ConvergenceError(
-        f"integral did not converge to {tol!r} within {_MAX_ROMBERG_LEVELS} refinement levels",
-        best_estimate=prev_row[-1],
-    )
+    raise ValueError(f"integral did not converge to {tol!r} within {_MAX_ROMBERG_LEVELS} refinement levels")

@@ -13,7 +13,7 @@ import pytest
 from trapcube.adaptive import refine  # noqa: F401  (surface sanity: import must work)
 from trapcube.cli import BUILTINS, main
 from trapcube.cubature import Integrand2D, error_constant, s_minus, s_plus
-from trapcube.kernels import KernelSpec, definiteness_scan, k22_s_minus, k22_s_plus
+from trapcube.kernels import KernelSpec, definiteness_scan, kernel_at
 from trapcube.oracle import ref_exp_integral, ref_sin_integral
 from trapcube.univariate import Interval
 
@@ -228,20 +228,21 @@ def _gauss_points(breaks):
     return pts
 
 
-def _kernel_integral(kernel, iv, n, with_mid):
+def _kernel_integral(kind, iv, n, with_mid):
     breaks = sorted({iv.a + i * iv.width / n for i in range(n + 1)} | ({iv.midpoint} if with_mid else set()))
     pts = _gauss_points(breaks)
+    spec = KernelSpec(kind, n)
     return math.fsum(
-        wt * wtau * kernel(iv, n, t, tau) for (t, wt) in pts for (tau, wtau) in pts
+        wt * wtau * kernel_at(spec, iv, t, tau) for (t, wt) in pts for (tau, wtau) in pts
     )
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_criterion_7_kernel_integral_matches_error_constant(n):
-    qm = _kernel_integral(k22_s_minus, UNIT, n, with_mid=True)
+    qm = _kernel_integral("k22_s_minus", UNIT, n, with_mid=True)
     cm = error_constant("s_minus", UNIT, n)
     assert abs(qm - cm) <= 1e-9, ("s_minus", n, qm, cm)
-    qp = _kernel_integral(k22_s_plus, UNIT, n, with_mid=False)
+    qp = _kernel_integral("k22_s_plus", UNIT, n, with_mid=False)
     cp = error_constant("s_plus", UNIT, n)
     assert abs(qp - cp) <= 1e-9, ("s_plus", n, qp, cp)
     print(f"criterion 7 (n={n}): integrated kernels match the error constants "
@@ -252,10 +253,11 @@ def test_criterion_8a_kernel_arrangements_agree():
     worst = 0.0
     for n in (1, 2, 4, 8):
         grid = [i / 100.0 for i in range(101)]
-        scale = max(abs(k22_s_plus(UNIT, n, t, tau)) for t in grid for tau in grid)
+        spec = KernelSpec("k22_s_plus", n)
+        scale = max(abs(kernel_at(spec, UNIT, t, tau)) for t in grid for tau in grid)
         for t in grid:
             for tau in grid:
-                dev = abs(k22_s_plus(UNIT, n, t, tau) - k22_s_plus_mixed(UNIT, n, t, tau))
+                dev = abs(kernel_at(spec, UNIT, t, tau) - k22_s_plus_mixed(UNIT, n, t, tau))
                 worst = max(worst, dev / scale)
                 assert dev <= 1e-13 * scale, (n, t, tau)
     print(f"criterion 8a: both edge-kernel arrangements agree on 101x101 grids "

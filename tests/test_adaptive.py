@@ -968,3 +968,14 @@ def test_the_centred_pair_interval_is_widened_to_reach_its_ends():
     assert 0.5 * pair < bound <= 0.5 * pair + 2 * math.ulp(fine)
     assert Fraction(centre - bound) <= Fraction(fine)
     assert Fraction(centre + bound) >= Fraction(fine) + Fraction(pair)
+
+
+@pytest.mark.parametrize("centre,bound,lower,upper", [
+    # centre + r overflows before any end is summed.
+    pytest.param(1.7e308, 1e308, (1.7e308,), (1.7e308,), id="centre-plus-bound"),
+    # centre + r is finite, but the sum of the lower end's terms is not.
+    pytest.param(1e308, 0.0, (1e308, 1e308, -1e308), (1e308,), id="end-sum"),
+])
+def test_a_bound_whose_interval_leaves_the_float_range_widens_to_inf(centre, bound, lower, upper):
+    """No finite bound reaches an end beyond the float range."""
+    assert adaptive._widened(centre, bound, lower, upper, 0.0) == math.inf

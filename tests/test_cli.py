@@ -22,8 +22,8 @@ def run(capsys, *argv):
 
 def test_builtins_are_fully_wired():
     """Every built-in has closed forms for the line integrals along both
-    axes, so no CLI path integrates a trace by Romberg, the only source of
-    ConvergenceError."""
+    axes, so no CLI path integrates a trace by Romberg, which fails when
+    it runs out of refinement levels."""
     assert set(BUILTINS) == {"exp_xy", "sin_xy", "poly_x2y2", "bilinear_xy"}
     for b in BUILTINS.values():
         assert b.integrand.d22_sign in ("nonnegative", "nonpositive")

@@ -19,9 +19,7 @@ from trapcube.kernels import (
     _k2_trap_grid,
     _k22,
     definiteness_scan,
-    k22_s_minus,
-    k22_s_plus,
-    phi,
+    kernel_at,
     psi,
 )
 from trapcube.univariate import Interval
@@ -40,6 +38,15 @@ SIGNS = {
 }
 
 unit_coords = st.floats(min_value=0.0, max_value=1.0)
+
+
+# The rule kernels as functions of (iv, n, t, tau), as the point tests call them.
+def k22_s_minus(iv, n, t, tau):
+    return kernel_at(KernelSpec("k22_s_minus", n), iv, t, tau)
+
+
+def k22_s_plus(iv, n, t, tau):
+    return kernel_at(KernelSpec("k22_s_plus", n), iv, t, tau)
 
 
 def test_kernel_spec_validation():
@@ -102,49 +109,51 @@ def test_mixed_arrangement_agrees_with_three_term_form(n):
             assert abs(direct - mixed) <= 1e-13 * scale
 
 
-#: The point kernels as functions of (iv, n, t, tau).
-_POINT_KERNELS = {
-    "k22_s_minus": k22_s_minus,
-    "k22_s_plus": k22_s_plus,
-    "phi_minus": lambda iv, n, t, tau: phi("minus", iv, n, 1.1, t, tau),
-    "phi_plus": lambda iv, n, t, tau: phi("plus", iv, n, 1.4, t, tau),
-}
+#: The comparison constant each kind is evaluated at (None for K22).
+_POINT_CONSTANTS = {"k22_s_minus": None, "k22_s_plus": None, "phi_minus": 1.1, "phi_plus": 1.4}
 
 
-@pytest.mark.parametrize("kind", sorted(_POINT_KERNELS))
+@pytest.mark.parametrize("kind", sorted(_POINT_CONSTANTS))
 @pytest.mark.parametrize("a,b", [(-1.0, 2.0), (0.3, 0.7), (-0.5, 1.75)])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_kernels_scale_by_the_fourth_power_of_the_width(kind, a, b, n):
     """On [a, b]^2 of width w every kernel is w^4 times its unit-square
     value at the mapped point, so a scan of [0, 1]^2 decides its sign
     on every square."""
-    kernel = _POINT_KERNELS[kind]
+    spec = KernelSpec(kind, n, _POINT_CONSTANTS[kind])
     iv = Interval(a, b)
     w = iv.width
     tol = 1e-12 * w**4 / (64 * n * n)
     unit = [i / 12 for i in range(13)] + [0.137, 0.61]
     for u in unit:
         for v in unit:
-            mapped = kernel(iv, n, a + w * u, a + w * v)
-            assert abs(mapped - w**4 * kernel(UNIT, n, u, v)) <= tol, (u, v)
+            mapped = kernel_at(spec, iv, a + w * u, a + w * v)
+            assert abs(mapped - w**4 * kernel_at(spec, UNIT, u, v)) <= tol, (u, v)
 
 
 def test_phi_is_the_documented_combination():
     n, c, t, tau = 3, 1.25, 0.37, 0.81
     expected = (c + 1) * k22_s_minus(UNIT, 2 * n, t, tau) - c * k22_s_minus(UNIT, n, t, tau)
-    assert phi("minus", UNIT, n, c, t, tau) == pytest.approx(expected, rel=1e-14)
+    assert kernel_at(KernelSpec("phi_minus", n, c), UNIT, t, tau) == pytest.approx(expected, rel=1e-14)
     expected_p = (c + 1) * k22_s_plus(UNIT, 2 * n, t, tau) - c * k22_s_plus(UNIT, n, t, tau)
-    assert phi("plus", UNIT, n, c, t, tau) == pytest.approx(expected_p, rel=1e-14)
+    assert kernel_at(KernelSpec("phi_plus", n, c), UNIT, t, tau) == pytest.approx(expected_p, rel=1e-14)
 
 
-def test_phi_validation():
-    with pytest.raises(ValueError):
-        phi("minus", UNIT, 2, 0.0, 0.5, 0.5)
-    with pytest.raises(ValueError):
-        phi("both", UNIT, 2, 1.0, 0.5, 0.5)
-    for c in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="finite and positive"):
-            phi("minus", UNIT, 2, c, 0.3, 0.4)
+@pytest.mark.parametrize("n,c,message", [
+    (2.5, 1.0, "level must be an integer, got 2.5"),
+    (2, math.nan, "comparison kernels require a finite c > 0, got nan"),
+    (2, -1.0, "comparison kernels require a finite c > 0, got -1.0"),
+])
+@pytest.mark.parametrize("kind", ["phi_minus", "phi_plus"])
+def test_point_kernels_refuse_what_the_spec_refuses(kind, n, c, message):
+    """kernel_at and psi take their level and constant from a KernelSpec,
+    which refuses a level that is not an integer and a c that is not
+    finite and positive: psi returned 0.0404 at n = 2.5 and nan at c =
+    nan, and phi reported the doubled level 5.0 for n = 2.5."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        kernel_at(KernelSpec(kind, n, c), UNIT, 0.1, 0.2)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        psi(KernelSpec(kind, n, c), 0, 0, 1.0, 0.1)
 
 
 @pytest.mark.parametrize("kind,expected", [
@@ -451,12 +460,11 @@ def test_psi_matches_comparison_kernel_on_cells(cell, c, u, v):
     tau = (2 * l + v) * h
     # abs slack sits above the ~1e-17 cancellation residue the generic
     # kernel evaluation leaves at its zero set
-    lhs = 4.0 * phi("minus", UNIT, n, c, t, tau)
-    rhs = h**4 * psi("minus", k, l, n, c, u, v)
-    assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-15)
-    lhs_p = 4.0 * phi("plus", UNIT, n, c, t, tau)
-    rhs_p = h**4 * psi("plus", k, l, n, c, u, v)
-    assert lhs_p == pytest.approx(rhs_p, rel=1e-9, abs=1e-15)
+    for kind in ("phi_minus", "phi_plus"):
+        spec = KernelSpec(kind, n, c)
+        lhs = 4.0 * kernel_at(spec, UNIT, t, tau)
+        rhs = h**4 * psi(spec, k, l, u, v)
+        assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-15), kind
 
 
 @given(
@@ -472,30 +480,33 @@ def test_psi_neighbour_difference_identity(cell, c, u, v):
     n, k, l = cell
     if 2 * (k + 1) + 1 > n:
         return
-    step = psi("minus", k + 1, l, n, c, u, v) - psi("minus", k, l, n, c, u, v)
+    spec = KernelSpec("phi_minus", n, c)
+    step = psi(spec, k + 1, l, u, v) - psi(spec, k, l, u, v)
     predicted = 4.0 * (2 * k + 1 + u) * v * (c - 1.0 + v)
     # abs slack 1e-18 on the kernel's scale h^4 psi, with h = 1/(2n)
     assert step == pytest.approx(predicted, rel=1e-9, abs=1e-18 * (2 * n) ** 4)
 
 
 def test_psi_validation():
-    with pytest.raises(ValueError):
-        psi("minus", 0, 0, 4, 1.0, 1.5, 0.5)
-    with pytest.raises(ValueError):
-        psi("minus", 2, 0, 4, 1.0, 0.5, 0.5)  # 2k+1 > n
-    with pytest.raises(ValueError):
-        psi("minus", -1, 0, 4, 1.0, 0.5, 0.5)
-    with pytest.raises(ValueError):
-        psi("sideways", 0, 0, 4, 1.0, 0.5, 0.5)
+    spec = KernelSpec("phi_minus", 4, 1.0)
+    with pytest.raises(ValueError, match="outside the unit square"):
+        psi(spec, 0, 0, 1.5, 0.5)
+    with pytest.raises(ValueError, match="outside the lower-left quadrant"):
+        psi(spec, 2, 0, 0.5, 0.5)  # 2k+1 > n
+    with pytest.raises(ValueError, match="outside the lower-left quadrant"):
+        psi(spec, -1, 0, 0.5, 0.5)
+    for kind in ("k22_s_minus", "k22_s_plus"):
+        with pytest.raises(ValueError, match=f"^psi is defined for the comparison kernels only, got '{kind}'$"):
+            psi(KernelSpec(kind, 4), 0, 0, 0.5, 0.5)
 
 
 def test_psi_diagonal_dips_negative_below_the_critical_constant():
     """On the diagonal of cell (k, k) the mid-line psi is g(u) = psi(u, u)
     with g(0) = 0 and g'(0) = 8 (c-1) k^2, so any c < 1 forces g < 0
     just inside the cell: the constant 1 of the mid-line rule is sharp."""
-    assert psi("minus", 1, 1, 4, 0.99, 0.0, 0.0) == 0.0
-    assert psi("minus", 1, 1, 4, 0.99, 0.005, 0.005) < 0.0
-    assert psi("minus", 2, 2, 6, 0.9, 0.01, 0.01) < 0.0
+    assert psi(KernelSpec("phi_minus", 4, 0.99), 1, 1, 0.0, 0.0) == 0.0
+    assert psi(KernelSpec("phi_minus", 4, 0.99), 1, 1, 0.005, 0.005) < 0.0
+    assert psi(KernelSpec("phi_minus", 6, 0.9), 2, 2, 0.01, 0.01) < 0.0
     # at the critical constant the dip disappears
     for u in (0.001, 0.01, 0.1, 0.5, 1.0):
-        assert psi("minus", 1, 1, 4, 1.0, u, u) >= 0.0
+        assert psi(KernelSpec("phi_minus", 4, 1.0), 1, 1, u, u) >= 0.0

@@ -30,12 +30,12 @@ refine_mean(F, iv, tol=1e-3)
 s_minus(F, iv, 5)
 s_plus(F, iv, 5)
 product_trapezoid(F, iv, 5)
-k22_s_minus(iv, 4, 0.1, 0.2)
-k22_s_plus(iv, 4, 0.1, 0.2)
-phi("minus", iv, 4, 1.0, 0.1, 0.2)
-phi("plus", iv, 4, 1.2, 0.1, 0.2)
-psi("minus", 0, 0, 4, 1.0, 0.5, 0.5)
-psi("plus", 0, 0, 4, 1.2, 0.5, 0.5)
+kernel_at(KernelSpec("k22_s_minus", 4), iv, 0.1, 0.2)
+kernel_at(KernelSpec("k22_s_plus", 4), iv, 0.1, 0.2)
+kernel_at(KernelSpec("phi_minus", 4, 1.0), iv, 0.1, 0.2)
+kernel_at(KernelSpec("phi_plus", 4, 1.2), iv, 0.1, 0.2)
+psi(KernelSpec("phi_minus", 4, 1.0), 0, 0, 0.5, 0.5)
+psi(KernelSpec("phi_plus", 4, 1.2), 0, 0, 0.5, 0.5)
 ref_exp_integral()
 ref_sin_integral()
 with contextlib.redirect_stdout(io.StringIO()):

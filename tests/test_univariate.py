@@ -6,8 +6,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import trapcube.univariate as univariate
+from trapcube.adaptive import refine_mean
+from trapcube.cubature import Integrand2D, enclosure, s_minus
 from trapcube.univariate import (
-    ConvergenceError,
     Interval,
     QuadratureRule,
     _romberg,
@@ -220,26 +222,43 @@ def test_romberg_polynomial_fast_convergence():
     assert value == pytest.approx(0.0, abs=1e-12)
 
 
-def test_romberg_exhaustion_carries_best_estimate(monkeypatch):
-    """An unreachable tolerance raises, but the error keeps the best value.
+_SQRT_SUM = Integrand2D(lambda x, y: math.sqrt(x + y), "nonpositive")
 
-    sqrt is not smooth at 0, so the extrapolation diagonals keep moving
-    and 8 levels cannot hit 1e-30.
-    """
-    import trapcube.univariate as uv
 
-    monkeypatch.setattr(uv, "_MAX_ROMBERG_LEVELS", 8)
-    with pytest.raises(ConvergenceError) as info:
-        _romberg(math.sqrt, UNIT, 1e-30)
-    assert abs(info.value.best_estimate - 2.0 / 3.0) < 1e-2
+@pytest.mark.parametrize("solve", [
+    pytest.param(lambda: enclosure(_SQRT_SUM, UNIT, 4, 4), id="enclosure"),
+    pytest.param(lambda: refine_mean(_SQRT_SUM, UNIT, 1e-9), id="refine_mean"),
+])
+def test_a_romberg_trace_out_of_levels_is_named_with_its_line(monkeypatch, solve):
+    """sqrt(y) on the line x = 0 is not smooth at 0, so the extrapolation
+    diagonals keep moving and 14 levels cannot meet the trace tolerance
+    1e-12: the failure is a ValueError that names the trace and its line,
+    as every other failed trace is."""
+    monkeypatch.setattr(univariate, "_MAX_ROMBERG_LEVELS", 14)
+    with pytest.raises(ValueError, match=(
+        r"^the left trace integral, on the line x = 0.0, failed: "
+        r"integral did not converge to 1e-12 within 14 refinement levels$"
+    )):
+        solve()
 
 
 def test_romberg_rejects_non_finite_integrand():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-finite value inf at 1.0"):
         _romberg(lambda t: math.inf if t > 0.9 else t, UNIT, 1e-10)
     # Finite at both ends: the first refinement refuses the midpoint value.
     with pytest.raises(ValueError, match="non-finite value inf at 0.5"):
         _romberg(lambda t: math.inf if t == 0.5 else 1.0, UNIT, 1e-12)
+
+
+def test_a_non_finite_romberg_end_value_is_named_with_its_point():
+    """The ends of a trace are checked as its other nodes are: the error
+    names the value and the point, where it named neither."""
+    F = Integrand2D(lambda x, y: math.inf if (x, y) == (0.5, 0.0) else math.exp(x * y), "nonnegative")
+    with pytest.raises(ValueError, match=(
+        r"^the vertical-mid trace integral, on the line x = 0.5, failed: "
+        r"integrand returned non-finite value inf at 0.0$"
+    )):
+        s_minus(F, UNIT, 3)
 
 
 def test_romberg_overflow_names_the_interval_at_once():
