@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from .univariate import _SIGNS, Interval, _integer, _romberg, apply, trapezium_rule
+from .univariate import _SIGNS, Interval, QuadratureRule, _integer, _romberg, apply, trapezium_rule
 
 # numpy is imported inside the functions that build arrays, so that
 # scalar integrands never load it.
@@ -170,19 +170,6 @@ _RULE_TRACES = {
     "s_minus": ("vertical-mid", "horizontal-mid"),
     "s_plus": ("left", "right", "down", "up"),
 }
-
-
-class _GridPass(NamedTuple):
-    """Everything one evaluation of the (n+1)^2 grid yields.
-
-    ``sums`` maps a trace id to the trapezium sum ``Q_n`` of that trace.
-    The four edges are always present; the mid-lines when n is even,
-    where node n/2 of the grid is the interval midpoint.
-    """
-
-    n: int
-    product: float
-    sums: Dict[str, float]
 
 
 #: Points per block when a vectorized integrand is evaluated on the grid.
@@ -394,27 +381,30 @@ def _array_rows(
     return sums, down, up, horizontal
 
 
-def _grid_pass(F: Integrand2D, iv: Interval, n: int) -> _GridPass:
-    """Evaluate f once on the grid: ``C_n`` and the trace sums on grid lines.
+def _grid_pass(F: Integrand2D, rule: QuadratureRule) -> Tuple[float, Dict[str, float]]:
+    """Evaluate f once on the grid of a trapezium rule: ``(C_n, sums)``,
+    where ``sums`` maps a trace id to the trapezium sum ``Q_n`` of that
+    trace on a grid line.
 
-    The grid lines are those of :func:`trapezium_rule`, whose node n/2 is
-    the interval midpoint at even n, so there the mid-lines are a row and
-    a column of the grid.  Each row's terms ``wy * v`` are summed to
-    ``math.fsum``'s value, and the row sums are combined with ``fsum`` in
-    index order.  The trace along row i is that row's sum, and a column's
-    trace term in row i is ``terms[c] * (wx / weights[c])``, where the
-    weight ratio is exactly 1, 2 or 1/2; each column is summed with one
-    ``fsum``.  So every sum equals the one :func:`apply` computes on the
-    trace bit for bit, except where the terms are subnormal: a subnormal
-    ``terms[c]`` holds fewer bits than ``wx * v``, and halving one may
-    round, so a column sum can then differ from :func:`apply`'s in its
-    last bits.  The scalar path calls ``math.fsum`` per row; a vectorized
-    integrand's blocks are summed by :func:`_row_fsums`, which returns the
-    same values, so it gives the scalar path's result whenever its values
-    are equal, subnormal terms included.
+    The four edges are always grid lines.  ``trapezium_rule``'s node n/2
+    is the interval midpoint at even n, so there the mid-lines are a row
+    and a column of the grid and are in ``sums`` too; at odd n they are
+    not.  Each row's terms ``wy * v`` are summed to ``math.fsum``'s value,
+    and the row sums are combined with ``fsum`` in index order.  The trace
+    along row i is that row's sum, and a column's trace term in row i is
+    ``terms[c] * (wx / weights[c])``, where the weight ratio is exactly 1,
+    2 or 1/2; each column is summed with one ``fsum``.  So every sum
+    equals the one :func:`apply` computes on the trace bit for bit, except
+    where the terms are subnormal: a subnormal ``terms[c]`` holds fewer
+    bits than ``wx * v``, and halving one may round, so a column sum can
+    then differ from :func:`apply`'s in its last bits.  The scalar path
+    calls ``math.fsum`` per row; a vectorized integrand's blocks are summed
+    by :func:`_row_fsums`, which returns the same values, so it gives the
+    scalar path's result whenever its values are equal, subnormal terms
+    included.  A product that overflows stays inf, as in Python floats.
     """
-    rule = trapezium_rule(iv, n)
     nodes, weights = rule.nodes, rule.weights
+    n = len(nodes) - 1
     mid = n // 2 if n % 2 == 0 else None
     rows = _array_rows if F.vectorized else _scalar_rows
     row_fsums, down, up, horizontal = rows(F.f, nodes, weights, mid)
@@ -427,8 +417,7 @@ def _grid_pass(F: Integrand2D, iv: Interval, n: int) -> _GridPass:
     if mid is not None:
         sums["vertical-mid"] = row_fsums[mid]
         sums["horizontal-mid"] = math.fsum(horizontal)
-    product = math.fsum(wx * s for wx, s in zip(weights, row_fsums))
-    return _GridPass(n=n, product=product, sums=sums)
+    return math.fsum(wx * s for wx, s in zip(weights, row_fsums)), sums
 
 
 #: Absolute Romberg tolerance of a trace integral without an exact
@@ -470,56 +459,51 @@ def _trace_integrals(
     return out
 
 
-def _combine(
-    rule: str,
-    F: Integrand2D,
-    iv: Interval,
-    grid: _GridPass,
-    traces: Mapping[str, Tuple[float, float]],
-) -> CubatureEstimate:
-    """One-sided rule value from a grid pass and its trace integrals.
-
-    At odd n the mid-lines are not grid lines and get their trapezium
-    sums here, so only the mid-line rule at an odd level evaluates f off
-    the grid.
-    """
-    remainders = []
-    for tid in _RULE_TRACES[rule]:
-        q = grid.sums.get(tid)
-        if q is None:
-            q = apply(trapezium_rule(iv, grid.n), _trace_function(F.f, tid, iv))
-        remainders.append(traces[tid][0] - q)
-    w = iv.width if rule == "s_minus" else 0.5 * iv.width
-    return CubatureEstimate(
-        value=grid.product + w * math.fsum(remainders),
-        rule=rule,
-        n=grid.n,
-        trace_err_budget=w * math.fsum(traces[tid][1] for tid in _RULE_TRACES[rule]),
-    )
-
-
 def _levels(
     F: Integrand2D, iv: Interval, trace_tol: float = _TRACE_TOL
 ) -> Callable[[int], Callable[[str], CubatureEstimate]]:
     """A function ``level(n) -> value``, where ``value(rule)`` is the
-    estimate of a one-sided rule at level n.
+    estimate of a one-sided rule at level n: ``C_n`` plus the width-weighted
+    remainders of the rule's traces, with their budgets.
 
-    Each call of ``level`` costs one grid pass, which serves both rules.
-    The trace integrals do not depend on the level, so each rule's traces
-    are integrated the first time any level is read for that rule, Romberg
-    traces to ``trace_tol``, and a rule that is never read pays for none.
-    A refinement (:func:`adaptive._refine`) calls ``level`` once per level
-    of each round, so a solve that stops early pays for no further pass.
+    Each call of ``level`` builds ``trapezium_rule(iv, n)`` once and makes
+    one grid pass with it, which serves both rules.  At odd n the mid-lines
+    are not grid lines, so ``s_minus`` gets their sums by :func:`apply` with
+    that same rule, and only the mid-line rule at an odd level evaluates f
+    off the grid.  The trace integrals do not depend on the level, so each
+    rule's traces are integrated the first time any level is read for that
+    rule, Romberg traces to ``trace_tol``, and a rule that is never read
+    pays for none.  A refinement (:func:`adaptive._refine`) calls ``level``
+    once per level of each round, so a solve that stops early pays for no
+    further pass.  A rule value that is not a finite float, because ``C_n``
+    or a sum of remainders left the float range, is refused with a
+    ValueError.
     """
     traces: Dict[str, Dict[str, Tuple[float, float]]] = {}
 
     def level(n: int) -> Callable[[str], CubatureEstimate]:
-        grid = _grid_pass(F, iv, n)
+        trap = trapezium_rule(iv, n)
+        product, sums = _grid_pass(F, trap)
 
         def value(rule: str) -> CubatureEstimate:
             if rule not in traces:
                 traces[rule] = _trace_integrals(F, iv, _RULE_TRACES[rule], trace_tol)
-            return _combine(rule, F, iv, grid, traces[rule])
+            integrals = traces[rule]
+            remainders = [
+                integral - (sums[tid] if tid in sums else apply(trap, _trace_function(F.f, tid, iv)))
+                for tid, (integral, _) in integrals.items()
+            ]
+            w = iv.width if rule == "s_minus" else 0.5 * iv.width
+            try:
+                v = product + w * math.fsum(remainders)
+            except (OverflowError, ValueError):  # fsum's overflow, or inf - inf
+                v = math.nan
+            if not math.isfinite(v):
+                raise ValueError(
+                    f"the {rule} value at level {n} on the square [{iv.a!r}, {iv.b!r}]^2 leaves the float range"
+                )
+            budget = w * math.fsum(b for _, b in integrals.values())
+            return CubatureEstimate(value=v, rule=rule, n=n, trace_err_budget=budget)
 
         return value
 
@@ -549,7 +533,7 @@ def product_trapezoid(F: Integrand2D, iv: Interval, n: int) -> CubatureEstimate:
         If the integrand returns a non-finite value; the message names
         the offending grid point.
     """
-    return CubatureEstimate(value=_grid_pass(F, iv, n).product, rule="product_trap", n=n)
+    return CubatureEstimate(value=_grid_pass(F, trapezium_rule(iv, n))[0], rule="product_trap", n=n)
 
 
 def s_minus(F: Integrand2D, iv: Interval, n: int) -> CubatureEstimate:

@@ -47,26 +47,24 @@ class ReferenceValue:
             )
 
 
+def _series(term: Callable[[int], float], tail: float, method: str) -> ReferenceValue:
+    """Sum the terms ``term(k)``, k = 1, 2, ..., until one drops below
+    1e-18 in magnitude; the truncation bound is tail times that term."""
+    terms = []
+    k = 1
+    while abs(t := term(k)) >= _TERM_CUTOFF:
+        terms.append(t)
+        k += 1
+    return ReferenceValue(value=math.fsum(terms), abs_err=tail * abs(t), method=method)
+
+
 def ref_exp_integral() -> ReferenceValue:
     """Integral of e^{xy} over the unit square, by series.
 
     Positive terms 1/(k*k!) are summed until one drops below 1e-18;
     the factorial tail is then under twice the first omitted term.
     """
-    terms = []
-    k = 1
-    factorial = 1.0
-    while True:
-        factorial *= k
-        term = 1.0 / (k * factorial)
-        if term < _TERM_CUTOFF:
-            return ReferenceValue(
-                value=math.fsum(terms),
-                abs_err=2.0 * term,
-                method="series sum 1/(k*k!)",
-            )
-        terms.append(term)
-        k += 1
+    return _series(lambda k: 1.0 / (k * math.factorial(k)), 2.0, "series sum 1/(k*k!)")
 
 
 def ref_sin_integral() -> ReferenceValue:
@@ -75,20 +73,11 @@ def ref_sin_integral() -> ReferenceValue:
     Terms (-1)^{k+1}/(2k*(2k)!) alternate with decreasing magnitude, so
     the truncation error is below the first omitted term.
     """
-    terms = []
-    k = 1
-    factorial = 2.0  # (2k)! at k = 1
-    while True:
-        magnitude = 1.0 / (2 * k * factorial)
-        if magnitude < _TERM_CUTOFF:
-            return ReferenceValue(
-                value=math.fsum(terms),
-                abs_err=magnitude,
-                method="alternating series sum 1/(2k*(2k)!)",
-            )
-        terms.append(magnitude if k % 2 == 1 else -magnitude)
-        k += 1
-        factorial *= (2 * k - 1) * (2 * k)
+    return _series(
+        lambda k: (1.0 if k % 2 else -1.0) / (2 * k * math.factorial(2 * k)),
+        1.0,
+        "alternating series sum 1/(2k*(2k)!)",
+    )
 
 
 def _eval_row(f: Callable[[float, float], float], x: float, ys: np.ndarray) -> np.ndarray:

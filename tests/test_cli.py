@@ -3,13 +3,14 @@ import dataclasses
 import gc
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from trapcube.adaptive import refine
+from trapcube.adaptive import refine, refine_mean
 from trapcube.cli import BUILTINS, main, table_rows
-from trapcube.cubature import _TRACE_TOL, s_minus, s_plus
+from trapcube.cubature import _TRACE_TOL, enclosure, s_minus, s_plus
 from trapcube.oracle import brute_force_integral, ref_exp_integral
 from trapcube.univariate import Interval, _romberg
 
@@ -69,6 +70,38 @@ def test_integrate_holds_the_integral_on_a_square_with_a_subnormal_corner(capsys
     summary = json.loads(out.strip().splitlines()[-1])
     truth = brute_force_integral(lambda x, y: np.exp(x * y), Interval(5e-324, 0.5), 6)
     assert abs(summary["final_value"] - truth) <= summary["final_bound"]
+
+
+#: A call on the square [0, b]^2, and the rule and level whose value it
+#: refuses there.
+_OVERFLOWING_CALLS = {
+    "s_minus at 4": (lambda F, iv: s_minus(F, iv, 4), "s_minus", 4),
+    "s_minus at 5": (lambda F, iv: s_minus(F, iv, 5), "s_minus", 5),
+    "s_plus at 4": (lambda F, iv: s_plus(F, iv, 4), "s_plus", 4),
+    "s_plus at 5": (lambda F, iv: s_plus(F, iv, 5), "s_plus", 5),
+    "enclosure": (lambda F, iv: enclosure(F, iv, 4, 4), "s_plus", 4),
+    "refine s_minus": (lambda F, iv: refine(F, iv, "s_minus", tol=1.0), "s_minus", 4),
+    "refine s_plus": (lambda F, iv: refine(F, iv, "s_plus", tol=1.0), "s_plus", 4),
+    "refine_mean": (lambda F, iv: refine_mean(F, iv, tol=1.0), "s_plus", 4),
+    "cli": (None, "s_minus", 4),
+}
+
+
+@pytest.mark.parametrize("fn_id,b", [("poly_x2y2", 1e60), ("bilinear_xy", 1e100)])
+@pytest.mark.parametrize("call", sorted(_OVERFLOWING_CALLS))
+def test_a_rule_value_outside_the_float_range_is_refused(capsys, fn_id, b, call):
+    """Every grid value and trace integral is finite on these squares, and
+    their signs are proven on any square, but C_n overflows to inf.  The
+    rule value built from it is refused, naming the rule, the level and the
+    square, where it used to come out nan (and the enclosure as empty)."""
+    solve, rule, n = _OVERFLOWING_CALLS[call]
+    message = f"the {rule} value at level {n} on the square [0.0, {b!r}]^2 leaves the float range"
+    if solve is None:
+        code, out, err = run(capsys, "integrate", "--fn", fn_id, "--rule", "minus", "--tol", "1", "--a", "0", "--b", repr(b))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+    else:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            solve(BUILTINS[fn_id].integrand, Interval(0.0, b))
 
 
 def test_no_arguments_is_a_usage_error(capsys):
