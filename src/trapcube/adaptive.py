@@ -72,7 +72,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .cubature import _TRACE_TOL, Integrand2D, _levels, _overshooting_rule
+from .cubature import _RULE_TRACES, _TRACE_TOL, Integrand2D, _levels, _overshooting_rule
 from .univariate import Interval, _integer
 
 __all__ = [
@@ -82,8 +82,6 @@ __all__ = [
     "refine_mean",
     "definite_pair_bounds",
 ]
-
-_RULES = ("s_minus", "s_plus")
 
 #: Safety factor on a predicted level: the n^-2 rate ignores the higher
 #: order terms of the error constant and the variation of D22 f.
@@ -327,8 +325,8 @@ def refine(
     The integrand must declare its mixed-derivative sign, since the
     bounds only hold for one-signed derivatives.
     """
-    if rule not in _RULES:
-        raise ValueError(f"rule must be one of {_RULES}, got {rule!r}")
+    if rule not in _RULE_TRACES:
+        raise ValueError(f"rule must be one of {tuple(_RULE_TRACES)}, got {rule!r}")
     return _refine(F, iv, rule, tol, max_n)
 
 

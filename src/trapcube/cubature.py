@@ -141,35 +141,23 @@ class Enclosure:
             )
 
 
-#: The six traces of a bivariate integrand, restrictions to the four
-#: edges of the square and to its two mid-lines, and the line each lies
-#: on: ``(axis, coordinate_of)``, where axis 0 freezes x at
-#: ``c = coordinate_of(iv)`` (the trace is ``t -> f(c, t)``, integrated by
+#: The traces whose remainders correct ``C_n`` in each one-sided rule,
+#: restrictions of f to the two mid-lines of the square or to its four
+#: edges, as ``(trace_id, axis, end)``: axis 0 freezes x at
+#: ``c = getattr(iv, end)`` (the trace is ``t -> f(c, t)``, integrated by
 #: ``g_x``) and axis 1 freezes y (``t -> f(t, c)``, by ``g_y``).  This is
-#: the only table of where the lines sit.
-_TRACE_LINES: Dict[str, Tuple[int, Callable[[Interval], float]]] = {
-    "left": (0, lambda iv: iv.a),
-    "right": (0, lambda iv: iv.b),
-    "down": (1, lambda iv: iv.a),
-    "up": (1, lambda iv: iv.b),
-    "vertical-mid": (0, lambda iv: iv.midpoint),
-    "horizontal-mid": (1, lambda iv: iv.midpoint),
+#: the only table of the rules and of where their lines sit.
+_RULE_TRACES = {
+    "s_minus": (("vertical-mid", 0, "midpoint"), ("horizontal-mid", 1, "midpoint")),
+    "s_plus": (("left", 0, "a"), ("right", 0, "b"), ("down", 1, "a"), ("up", 1, "b")),
 }
 
 
-def _trace_function(f: Callable[[float, float], float], trace_id: str, iv: Interval):
-    axis, coordinate_of = _TRACE_LINES[trace_id]
-    c = coordinate_of(iv)
+def _line(f: Callable[[float, float], float], axis: int, c: float) -> Callable[[float], float]:
+    """The trace of f on the line where coordinate ``axis`` is c."""
     if axis == 0:
         return lambda t: f(c, t)
     return lambda t: f(t, c)
-
-
-#: Trace lines whose remainders correct ``C_n`` in each one-sided rule.
-_RULE_TRACES = {
-    "s_minus": ("vertical-mid", "horizontal-mid"),
-    "s_plus": ("left", "right", "down", "up"),
-}
 
 
 #: Points per block when a vectorized integrand is evaluated on the grid.
@@ -427,21 +415,21 @@ _TRACE_TOL = 1e-12
 
 
 def _trace_integrals(
-    F: Integrand2D, iv: Interval, trace_ids, tol: float
+    F: Integrand2D, iv: Interval, traces, tol: float
 ) -> Dict[str, Tuple[float, float]]:
-    """``(value, budget)`` of each named trace integral over iv: the
+    """``(value, budget)`` of each trace integral over iv, keyed by trace
+    id, for ``(trace_id, axis, end)`` entries of :data:`_RULE_TRACES`: the
     exact supplier's value with budget 0 when F has ``exact_traces``, and
     otherwise the Romberg value to absolute tolerance tol with budget tol.
     A trace that fails, on a non-finite value, a value ``float()``
     refuses or a sum that overflows, raises a ValueError that names its
     line."""
     out = {}
-    for tid in trace_ids:
-        axis, coordinate_of = _TRACE_LINES[tid]
-        c = coordinate_of(iv)
+    for tid, axis, end in traces:
+        c = getattr(iv, end)
         try:
             if F.exact_traces is None:
-                out[tid] = _romberg(_trace_function(F.f, tid, iv), iv, tol), tol
+                out[tid] = _romberg(_line(F.f, axis, c), iv, tol), tol
             else:
                 value = F.exact_traces[axis](c, iv)
                 try:
@@ -464,20 +452,22 @@ def _levels(
 ) -> Callable[[int], Callable[[str], CubatureEstimate]]:
     """A function ``level(n) -> value``, where ``value(rule)`` is the
     estimate of a one-sided rule at level n: ``C_n`` plus the width-weighted
-    remainders of the rule's traces, with their budgets.
+    remainders of the rule's traces, its entries of :data:`_RULE_TRACES`,
+    with their budgets.
 
     Each call of ``level`` builds ``trapezium_rule(iv, n)`` once and makes
-    one grid pass with it, which serves both rules.  At odd n the mid-lines
-    are not grid lines, so ``s_minus`` gets their sums by :func:`apply` with
-    that same rule, and only the mid-line rule at an odd level evaluates f
-    off the grid.  The trace integrals do not depend on the level, so each
-    rule's traces are integrated the first time any level is read for that
-    rule, Romberg traces to ``trace_tol``, and a rule that is never read
-    pays for none.  A refinement (:func:`adaptive._refine`) calls ``level``
-    once per level of each round, so a solve that stops early pays for no
-    further pass.  A rule value that is not a finite float, because ``C_n``
-    or a sum of remainders left the float range, is refused with a
-    ValueError.
+    one grid pass with it, which serves both rules: a trace's sum is the
+    pass's sum under its trace id.  At odd n the mid-lines are not grid
+    lines, so ``s_minus`` gets their sums by :func:`apply` of that same
+    rule to the trace on the entry's line, and only the mid-line rule at
+    an odd level evaluates f off the grid.  The trace integrals do not
+    depend on the level, so each rule's traces are integrated the first
+    time any level is read for that rule, Romberg traces to
+    ``trace_tol``, and a rule that is never read pays for none.  A
+    refinement (:func:`adaptive._refine`) calls ``level`` once per level
+    of each round, so a solve that stops early pays for no further pass.
+    A rule value that is not a finite float, because ``C_n`` or a sum of
+    remainders left the float range, is refused with a ValueError.
     """
     traces: Dict[str, Dict[str, Tuple[float, float]]] = {}
 
@@ -490,8 +480,8 @@ def _levels(
                 traces[rule] = _trace_integrals(F, iv, _RULE_TRACES[rule], trace_tol)
             integrals = traces[rule]
             remainders = [
-                integral - (sums[tid] if tid in sums else apply(trap, _trace_function(F.f, tid, iv)))
-                for tid, (integral, _) in integrals.items()
+                integrals[tid][0] - (sums[tid] if tid in sums else apply(trap, _line(F.f, axis, getattr(iv, end))))
+                for tid, axis, end in _RULE_TRACES[rule]
             ]
             w = iv.width if rule == "s_minus" else 0.5 * iv.width
             try:

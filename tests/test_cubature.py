@@ -1,6 +1,7 @@
 """Tests for the product rule, the two one-sided rules, and the bracket."""
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -225,13 +226,13 @@ def test_trace_budget_zero_with_exact_traces():
 
 def test_an_exact_trace_is_its_value_as_a_float_with_budget_zero():
     half = Integrand2D(f=lambda x, y: x, exact_traces=(lambda c, iv: Fraction(1, 2),) * 2)
-    traces = _trace_integrals(half, UNIT, ("left", "up"), 1e-12)
+    traces = _trace_integrals(half, UNIT, (("left", 0, "a"), ("up", 1, "b")), 1e-12)
     assert traces == {"left": (0.5, 0.0), "up": (0.5, 0.0)}
     assert all(type(value) is float for value, _ in traces.values())
 
 
 def test_a_romberg_trace_has_its_tolerance_as_budget():
-    traces = _trace_integrals(EXP, UNIT, ("right", "up"), 1e-12)
+    traces = _trace_integrals(EXP, UNIT, (("right", 0, "b"), ("up", 1, "b")), 1e-12)
     for value, budget in traces.values():
         assert budget == 1e-12
         assert abs(value - (math.e - 1.0)) <= 1e-12
@@ -380,6 +381,42 @@ def test_s_minus_equals_its_formula_bit_for_bit(a, b, n):
         remainders.append(value - apply(rule, g))
     expected = product_trapezoid(EXP, iv, n).value + iv.width * (remainders[0] + remainders[1])
     assert s_minus(EXP, iv, n).value == expected
+
+
+@pytest.mark.parametrize("a,b,n", [(0.3, 1.0, 6), (0.3, 1.0, 5), (0.0, 1.0, 8)])
+def test_s_plus_equals_its_formula_bit_for_bit(a, b, n):
+    """The grid gives the edge sums: the left and right edges as row sums,
+    the down and up edges as column sums of the terms ``terms[0] * (wx /
+    w_end)``.  Each must equal apply's trapezium sum of its trace."""
+    iv = Interval(a, b)
+    f = EXP.f
+    rule = trapezium_rule(iv, n)
+    remainders = []
+    for g in (lambda t: f(a, t), lambda t: f(b, t), lambda t: f(t, a), lambda t: f(t, b)):
+        value = _romberg(g, iv, _TRACE_TOL)
+        remainders.append(value - apply(rule, g))
+    expected = product_trapezoid(EXP, iv, n).value + 0.5 * iv.width * math.fsum(remainders)
+    assert s_plus(EXP, iv, n).value == expected
+
+
+_OUT_OF_RANGE = Integrand2D(
+    f=lambda x, y: 0.0, d22_sign="nonnegative", exact_traces=(lambda c, iv: 1.5e308,) * 2
+)
+
+
+@pytest.mark.parametrize("solve,rule", [
+    (lambda F: s_plus(F, UNIT, 4), "s_plus"),
+    (lambda F: s_minus(F, UNIT, 4), "s_minus"),
+    (lambda F: enclosure(F, UNIT, 4, 4), "s_plus"),
+    (lambda F: refine_mean(F, UNIT, 1e-3), "s_plus"),
+], ids=["s_plus", "s_minus", "enclosure", "refine_mean"])
+def test_remainders_whose_sum_overflows_are_refused(solve, rule):
+    """Every value of f and every trace integral is finite, but the sum of
+    the remainders, 2 or 4 times 1.5e308, overflows inside ``math.fsum``.
+    The rule value is refused as out of the float range."""
+    message = f"the {rule} value at level 4 on the square [0.0, 1.0]^2 leaves the float range"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        solve(_OUT_OF_RANGE)
 
 
 def test_rules_build_their_grids_near_the_float_maximum():

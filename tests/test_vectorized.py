@@ -164,9 +164,9 @@ def test_subnormal_terms_give_the_scalar_sums_bit_for_bit():
             assert {k: _bits(v) for k, v in got_sums.items()} == {
                 k: _bits(v) for k, v in want_sums.items()
             }, (iv, n)
-            for tid in ("left", "right", "vertical-mid"):
+            for tid, end in (("left", "a"), ("right", "b"), ("vertical-mid", "midpoint")):
                 if tid in want_sums:
-                    trace = cubature._trace_function(scalar.f, tid, iv)
+                    trace = cubature._line(scalar.f, 0, getattr(iv, end))
                     assert _bits(want_sums[tid]) == _bits(apply(rule, trace)), (iv, n, tid)
 
 
