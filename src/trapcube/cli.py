@@ -39,9 +39,9 @@ import sys
 from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .adaptive import RefinementReport, _pair_bound, refine, refine_mean
+from .adaptive import _pair_bound, refine, refine_mean
 from .cubature import Integrand2D, _levels
-from .kernels import SCAN_SLACK_FACTOR, KernelSpec, ScanReport, definiteness_scan
+from .kernels import SCAN_SLACK_FACTOR, KernelSpec, definiteness_scan
 from .oracle import ReferenceValue, ref_exp_integral, ref_sin_integral
 from .univariate import Interval
 
@@ -111,54 +111,39 @@ def _sin_xy(x, y):
     return np.sin(x * y)
 
 
+def _symmetric(
+    f: Callable, d22_sign: str, line: Callable[[float, Interval], float],
+    proven: Callable[[float, float], bool], condition: str,
+    reference: Optional[Callable[[], ReferenceValue]] = None,
+) -> BuiltinIntegrand:
+    """The record of a vectorized built-in whose ``line`` is both traces."""
+    return BuiltinIntegrand(
+        Integrand2D(f, d22_sign, exact_traces=(line, line), vectorized=True),
+        proven, condition, reference,
+    )
+
+
 # Each built-in is g(u) with u = x y, so D22 = u^2 g''''(u) + 4u g'''(u)
 # + 2 g''(u), and u spans [min(a*b, a*a, b*b), max(a*a, b*b)] on [a, b]^2.
 BUILTINS: Dict[str, BuiltinIntegrand] = {
-    "exp_xy": BuiltinIntegrand(
-        integrand=Integrand2D(
-            f=_exp_xy,
-            d22_sign="nonnegative",
-            exact_traces=(_exp_line, _exp_line),
-            vectorized=True,
-        ),
-        # e^u (u^2 + 4u + 2) >= 0 for u >= sqrt(2) - 2 = -0.58579, and u >= min(a*b, 0).
-        proven=lambda a, b: a * b >= -0.5857,
-        condition="a*b >= -0.5857",
-        reference=ref_exp_integral,
+    # e^u (u^2 + 4u + 2) >= 0 for u >= sqrt(2) - 2 = -0.58579, and u >= min(a*b, 0).
+    "exp_xy": _symmetric(
+        _exp_xy, "nonnegative", _exp_line,
+        lambda a, b: a * b >= -0.5857, "a*b >= -0.5857", ref_exp_integral,
     ),
-    "sin_xy": BuiltinIntegrand(
-        integrand=Integrand2D(
-            f=_sin_xy,
-            d22_sign="nonpositive",
-            exact_traces=(_sin_line, _sin_line),
-            vectorized=True,
-        ),
-        # (u^2 - 2) sin u and -4u cos u are both <= 0 for u in [0, sqrt(2)], as sqrt(2) < pi/2.
-        proven=lambda a, b: a * b >= 0 and max(a * a, b * b) <= 1.414,
-        condition="a*b >= 0 and max(a*a, b*b) <= 1.414",
-        reference=ref_sin_integral,
+    # (u^2 - 2) sin u and -4u cos u are both <= 0 for u in [0, sqrt(2)], as sqrt(2) < pi/2.
+    "sin_xy": _symmetric(
+        _sin_xy, "nonpositive", _sin_line,
+        lambda a, b: a * b >= 0 and max(a * a, b * b) <= 1.414,
+        "a*b >= 0 and max(a*a, b*b) <= 1.414", ref_sin_integral,
     ),
-    "poly_x2y2": BuiltinIntegrand(
-        integrand=Integrand2D(
-            f=lambda x, y: (x * x) * (y * y),
-            d22_sign="nonnegative",
-            exact_traces=(_sq_line, _sq_line),
-            vectorized=True,
-        ),
-        # D22 is the constant 4.
-        proven=lambda a, b: True,
-        condition="any square",
+    # D22 is the constant 4.
+    "poly_x2y2": _symmetric(
+        lambda x, y: (x * x) * (y * y), "nonnegative", _sq_line, lambda a, b: True, "any square"
     ),
-    "bilinear_xy": BuiltinIntegrand(
-        integrand=Integrand2D(
-            f=lambda x, y: x * y,
-            d22_sign="nonnegative",
-            exact_traces=(_bilinear_line, _bilinear_line),
-            vectorized=True,
-        ),
-        # D22 is identically 0.
-        proven=lambda a, b: True,
-        condition="any square",
+    # D22 is identically 0.
+    "bilinear_xy": _symmetric(
+        lambda x, y: x * y, "nonnegative", _bilinear_line, lambda a, b: True, "any square"
     ),
 }
 
@@ -276,29 +261,6 @@ def _emit_records(
         print(json.dumps(summary))
 
 
-def _emit_integrate(report: RefinementReport, fn_id: str, iv: Interval, fmt: str) -> None:
-    if fmt != "text":
-        _emit_records(fmt, report.levels, summary={
-            "fn": fn_id,
-            "rule": report.rule,
-            "final_n": report.final_n,
-            "final_value": report.final_value,
-            "final_bound": report.final_bound,
-            "termination": report.termination,
-        })
-        return
-    print(f"fn={fn_id}  rule={report.rule}  square=[{iv.a:g}, {iv.b:g}]^2")
-    print(f"{'n':>6}  {'estimate':>24}  {'diff':>10}  {'bound':>10}  {'budget':>10}")
-    for lv in report.levels:
-        print(
-            f"{lv.n:>6}  {lv.estimate:>24.17g}  {_sig4(lv.diff_to_previous):>10}"
-            f"  {_sig4(lv.aposteriori_bound):>10}  {_sig4(lv.trace_budget):>10}"
-        )
-    print(f"final value: {_full(report.final_value)}")
-    print(f"certified bound: {report.final_bound:.6e}")
-    print(f"termination: {report.termination}")
-
-
 def cmd_integrate(args: argparse.Namespace) -> int:
     fn = BUILTINS[args.fn]
     if args.max_n > _MAX_INTEGRATE_LEVEL:
@@ -314,12 +276,36 @@ def cmd_integrate(args: argparse.Namespace) -> int:
     else:
         rule = "s_minus" if args.rule == "minus" else "s_plus"
         report = refine(fn.integrand, iv, rule, tol=args.tol, max_n=args.max_n)
-    _emit_integrate(report, args.fn, iv, args.format)
+    if args.format != "text":
+        _emit_records(args.format, report.levels, summary={
+            "fn": args.fn,
+            "rule": report.rule,
+            "final_n": report.final_n,
+            "final_value": report.final_value,
+            "final_bound": report.final_bound,
+            "termination": report.termination,
+        })
+    else:
+        print(f"fn={args.fn}  rule={report.rule}  square=[{iv.a:g}, {iv.b:g}]^2")
+        print(f"{'n':>6}  {'estimate':>24}  {'diff':>10}  {'bound':>10}  {'budget':>10}")
+        for lv in report.levels:
+            print(
+                f"{lv.n:>6}  {lv.estimate:>24.17g}  {_sig4(lv.diff_to_previous):>10}"
+                f"  {_sig4(lv.aposteriori_bound):>10}  {_sig4(lv.trace_budget):>10}"
+            )
+        print(f"final value: {_full(report.final_value)}")
+        print(f"certified bound: {report.final_bound:.6e}")
+        print(f"termination: {report.termination}")
     return 0 if report.termination == "tolerance_met" else 3
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    n_list = _parse_n_list(args.n_list)
+    try:
+        n_list = [int(part) for part in args.n_list.split(",") if part.strip()]
+    except ValueError:
+        raise ValueError(f"--n-list must be comma-separated integers, got {args.n_list!r}")
+    if not n_list:
+        raise ValueError(f"--n-list must name at least one level, got {args.n_list!r}")
     reference, rows = table_rows(args.fn, n_list)
     if args.format != "text":
         _emit_records(args.format, rows, header={
@@ -339,40 +325,22 @@ def cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _render_scan(report: ScanReport, args: argparse.Namespace) -> None:
-    c_part = "" if args.c is None else f"  c={args.c:g}"
-    print(
-        f"kernel={args.kernel}  n={args.n}{c_part}"
-        f"  square=[0, 1]^2  resolution={report.grid_resolution}"
-    )
-    print(f"expected sign: {report.expected_sign}")
-    print(f"scale: {report.scale:.6e}  slack: {SCAN_SLACK_FACTOR * report.scale:.2e}")
-    print(f"violations: {report.violations}")
-    if report.worst is not None:
-        t, tau, value = report.worst
-        print(f"worst: value={value:.6e} at (t, tau)=({_full(t)}, {_full(tau)})")
-
-
 def cmd_scan(args: argparse.Namespace) -> int:
     if args.n > _MAX_SCAN_RESOLUTION:
         raise ValueError(f"n must be at most {_MAX_SCAN_RESOLUTION}, got {args.n}")
     resolution = 32 * args.n if args.resolution is None else args.resolution
     if resolution > _MAX_SCAN_RESOLUTION:
         raise ValueError(f"resolution must be at most {_MAX_SCAN_RESOLUTION}, got {resolution}")
-    spec = KernelSpec(_SCAN_KINDS[args.kernel], args.n, args.c)
-    report = definiteness_scan(spec, resolution)
-    _render_scan(report, args)
+    report = definiteness_scan(KernelSpec(_SCAN_KINDS[args.kernel], args.n, args.c), resolution)
+    c_part = "" if args.c is None else f"  c={args.c:g}"
+    print(f"kernel={args.kernel}  n={args.n}{c_part}  square=[0, 1]^2  resolution={resolution}")
+    print(f"expected sign: {report.expected_sign}")
+    print(f"scale: {report.scale:.6e}  slack: {SCAN_SLACK_FACTOR * report.scale:.2e}")
+    print(f"violations: {report.violations}")
+    if report.worst is not None:
+        t, tau, value = report.worst
+        print(f"worst: value={value:.6e} at (t, tau)=({_full(t)}, {_full(tau)})")
     return 0 if report.ok else 1
-
-
-def _parse_n_list(raw: str) -> List[int]:
-    try:
-        values = [int(part) for part in raw.split(",") if part.strip()]
-    except ValueError:
-        raise ValueError(f"--n-list must be comma-separated integers, got {raw!r}")
-    if not values:
-        raise ValueError(f"--n-list must name at least one level, got {raw!r}")
-    return values
 
 
 @functools.lru_cache(maxsize=None)

@@ -447,6 +447,16 @@ def _trace_integrals(
     return out
 
 
+def _off_grid_sum(f, trap: QuadratureRule, trace_id: str, axis: int, c: float) -> float:
+    """:func:`apply` of trap to the trace of f on a line that is not a grid
+    line; a failure raises a ValueError that names the trace and its line."""
+    try:
+        return apply(trap, _line(f, axis, c))
+    except (OverflowError, ValueError) as e:
+        line = f"{'xy'[axis]} = {c!r}"
+        raise ValueError(f"the {trace_id} trace sum, on the line {line}, failed: {e}") from None
+
+
 def _levels(
     F: Integrand2D, iv: Interval, trace_tol: float = _TRACE_TOL
 ) -> Callable[[int], Callable[[str], CubatureEstimate]]:
@@ -455,17 +465,20 @@ def _levels(
     remainders of the rule's traces, its entries of :data:`_RULE_TRACES`,
     with their budgets.
 
-    Each call of ``level`` builds ``trapezium_rule(iv, n)`` once and makes
-    one grid pass with it, which serves both rules: a trace's sum is the
-    pass's sum under its trace id.  At odd n the mid-lines are not grid
-    lines, so ``s_minus`` gets their sums by :func:`apply` of that same
-    rule to the trace on the entry's line, and only the mid-line rule at
-    an odd level evaluates f off the grid.  The trace integrals do not
-    depend on the level, so each rule's traces are integrated the first
-    time any level is read for that rule, Romberg traces to
-    ``trace_tol``, and a rule that is never read pays for none.  A
-    refinement (:func:`adaptive._refine`) calls ``level`` once per level
-    of each round, so a solve that stops early pays for no further pass.
+    Each call of ``level`` builds ``trapezium_rule(iv, n)`` at once, so a
+    bad level is refused before f is evaluated, and the first read of
+    ``value`` makes one grid pass with it, which serves both rules: a
+    trace's sum is the pass's sum under its trace id.  At odd n the
+    mid-lines are not grid lines, so ``s_minus`` gets their sums by
+    :func:`apply` of that same rule to the trace on the entry's line
+    (:func:`_off_grid_sum`, whose failure names the line), and only the
+    mid-line rule at an odd level evaluates f off the grid.  The trace
+    integrals do not depend on the level, so each rule's traces are
+    integrated the first time any level is read for that rule, Romberg
+    traces to ``trace_tol``, and a rule that is never read pays for
+    none.  A refinement (:func:`adaptive._refine`) calls ``level`` once
+    per level of each round, so a solve that stops early pays for no
+    further pass.
     A rule value that is not a finite float, because ``C_n`` or a sum of
     remainders left the float range, is refused with a ValueError.
     """
@@ -473,14 +486,19 @@ def _levels(
 
     def level(n: int) -> Callable[[str], CubatureEstimate]:
         trap = trapezium_rule(iv, n)
-        product, sums = _grid_pass(F, trap)
+        grid = None
 
         def value(rule: str) -> CubatureEstimate:
+            nonlocal grid
+            if grid is None:
+                grid = _grid_pass(F, trap)
+            product, sums = grid
             if rule not in traces:
                 traces[rule] = _trace_integrals(F, iv, _RULE_TRACES[rule], trace_tol)
             integrals = traces[rule]
             remainders = [
-                integrals[tid][0] - (sums[tid] if tid in sums else apply(trap, _line(F.f, axis, getattr(iv, end))))
+                integrals[tid][0]
+                - (sums[tid] if tid in sums else _off_grid_sum(F.f, trap, tid, axis, getattr(iv, end)))
                 for tid, axis, end in _RULE_TRACES[rule]
             ]
             w = iv.width if rule == "s_minus" else 0.5 * iv.width
@@ -590,11 +608,10 @@ def enclosure(F: Integrand2D, iv: Interval, n_plus: int, n_minus: int) -> Enclos
     grid, which serves both rules when ``n_plus == n_minus``.
     """
     over = _overshooting_rule(F)
-    # Refuse a bad level before any grid pass.
-    for n in (n_plus, n_minus):
-        trapezium_rule(iv, n)
     level = _levels(F, iv)
-    value = {n: level(n) for n in dict.fromkeys((n_plus, n_minus))}
+    # Both levels are built, and a bad one refused, before any grid pass;
+    # equal levels share one entry, and so one pass.
+    value = {n: level(n) for n in (n_plus, n_minus)}
     plus, minus = value[n_plus]("s_plus"), value[n_minus]("s_minus")
     high, low = (minus, plus) if over == "s_minus" else (plus, minus)
     slack = max(low.trace_err_budget, high.trace_err_budget)

@@ -135,6 +135,26 @@ def test_integrate_minus_text(capsys):
     assert row_12[3:] == ["-", "0.000e+00"]
 
 
+def test_integrate_output_is_pinned(capsys):
+    # Polynomial arithmetic with exact traces: no libm value enters the text.
+    code, out, err = run(
+        capsys, "integrate", "--fn", "poly_x2y2", "--rule", "minus", "--tol", "1e-4",
+        "--a", "0.5", "--b", "1.5",
+    )
+    assert (code, err) == (0, "")
+    assert out == (
+        "fn=poly_x2y2  rule=s_minus  square=[0.5, 1.5]^2\n"
+        "     n                  estimate        diff       bound      budget\n"
+        "     4        1.1754557291666665           -           -   0.000e+00\n"
+        "     8        1.1740519205729165  -1.404e-03   6.510e-04   0.000e+00\n"
+        "    12        1.1738053519375853  -2.466e-04           -   0.000e+00\n"
+        "    24         1.173659420144247  -1.459e-04   7.297e-05   0.000e+00\n"
+        "final value: 1.1735864542475778\n"
+        "certified bound: 7.296590e-05\n"
+        "termination: tolerance_met\n"
+    )
+
+
 def test_integrate_bilinear_converges_at_first_doubling(capsys):
     code, out, _ = run(capsys, "integrate", "--fn", "bilinear_xy", "--rule", "plus", "--tol", "1e-12")
     assert code == 0
@@ -294,6 +314,17 @@ def test_table_sin_row(capsys):
     assert code == 0
     assert "1.507e-04" in out
     assert "5.674e-05" in out
+
+
+def test_table_output_is_pinned(capsys):
+    code, out, err = run(capsys, "table", "--fn", "sin_xy", "--n-list", "4,8")
+    assert (code, err) == (0, "")
+    assert out == (
+        "fn=sin_xy  reference=0.23981174200056474  (abs err <= 2.1e-20)\n"
+        "     n          rem-    half-diff-          rem+        bound+\n"
+        "     4     6.300e-04     2.397e-04    -1.129e-03     9.697e-04\n"
+        "     8     1.507e-04     5.674e-05    -2.886e-04     2.309e-04\n"
+    )
 
 
 def test_table_csv_round_trips_exactly(capsys):

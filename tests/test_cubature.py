@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trapcube.cubature as cubature
 from trapcube.adaptive import refine, refine_mean
 from trapcube.cubature import (
     _TRACE_TOL,
@@ -198,6 +199,42 @@ def test_enclosure_refuses_a_bad_level_before_evaluating_f(counted_exp_xy, n_plu
     with pytest.raises(ValueError, match="panel count must be"):
         enclosure(F, UNIT, n_plus, n_minus)
     assert calls[0] == 0
+
+
+@pytest.mark.parametrize("point,trace", [
+    ((0.5, 1 / 3), "vertical-mid trace sum, on the line x = 0.5"),
+    ((1 / 3, 0.5), "horizontal-mid trace sum, on the line y = 0.5"),
+], ids=["vertical", "horizontal"])
+@pytest.mark.parametrize("exact_traces", [(lambda c, iv: 1.0,) * 2, None], ids=["exact", "romberg"])
+@pytest.mark.parametrize("solve", [
+    lambda F: s_minus(F, UNIT, 3),
+    lambda F: enclosure(F, UNIT, 3, 3),
+    lambda F: enclosure(F, UNIT, 4, 3),
+], ids=["s_minus", "enclosure", "enclosure_mixed"])
+def test_an_odd_level_mid_line_failure_names_its_line(point, trace, exact_traces, solve):
+    """At odd n the mid-lines are not grid lines: f is nan only at one of
+    their off-grid nodes, and the error names that trace and its line."""
+    F = Integrand2D(
+        f=lambda x, y: math.nan if (x, y) == point else math.exp(x * y),
+        d22_sign="nonnegative",
+        exact_traces=exact_traces,
+    )
+    message = f"the {trace}, failed: integrand returned non-finite value nan at node 0.3333333333333333"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        solve(F)
+
+
+@pytest.mark.parametrize("n_plus,n_minus", [(8, 8), (8, 16), (3, 4)])
+def test_enclosure_builds_each_level_rule_once(monkeypatch, n_plus, n_minus):
+    built = []
+
+    def counted(iv, n):
+        built.append(n)
+        return trapezium_rule(iv, n)
+
+    monkeypatch.setattr(cubature, "trapezium_rule", counted)
+    enclosure(EXP, UNIT, n_plus, n_minus)
+    assert built == [n_plus, n_minus]
 
 
 def test_error_constant_validation():
